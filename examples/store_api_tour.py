@@ -8,22 +8,19 @@ API and data layout work:
 * AUR: ``append(k, v, w, t)`` + ``get(k, w)`` with the ETT Stat table and
   predictive batch read,
 * RMW: ``get(k, w)`` / ``put(k, w, a)`` hash-buffered aggregates,
-* and the batch surface every store shares: ``multi_get`` /
-  ``multi_append`` amortize per-call overhead, ``write_batch()`` stages
-  ops and commits them atomically in one store call.
+* and the generic KV stores' two batch calls: ``multi_append`` is the
+  one append body (``append`` is a batch of one), ``write_batch()``
+  stages ops and commits them atomically in one store call.
 
 Run:  python examples/store_api_tour.py
 """
 
 from __future__ import annotations
 
-import warnings
-
 from repro.core.aar import AarStore
 from repro.core.aur import AurStore
 from repro.core.ett import SessionGapPredictor
 from repro.core.rmw import RmwStore
-from repro.kvstores.api import CAP_BATCH, PerTupleShim
 from repro.kvstores.lsm import LsmConfig, LsmStore
 from repro.model import Window
 from repro.simenv import SimEnv
@@ -98,18 +95,18 @@ def tour_rmw() -> None:
 
 
 def tour_batch() -> None:
-    print("\n=== Batch API: multi_get / multi_append / write_batch ===")
+    print("\n=== Batch API: multi_append / write_batch ===")
     env = SimEnv()
     fs = SimFileSystem(env)
     store = LsmStore(env, fs, "lsm", LsmConfig(write_buffer_bytes=4 << 10))
-    print(f"  advertises CAP_BATCH: {CAP_BATCH in store.capabilities}")
 
     # multi_append: one call, per-entry simulated charges unchanged —
     # batching amortizes real Python overhead, never simulated cost.
     store.multi_append([(f"user{i % 3}".encode(), f"e{i}".encode())
                         for i in range(30)])
-    values = store.multi_get([b"user0", b"user1", b"nobody"])
-    print(f"  multi_get -> {[len(v) if v else None for v in values]} bytes")
+    store.append(b"user0", b"e30")  # the same body, as a batch of one
+    values = [store.get(key) for key in (b"user0", b"user1", b"nobody")]
+    print(f"  get -> {[len(v) if v else None for v in values]} bytes")
 
     # write_batch: accumulate-then-commit.  Nothing reaches the store
     # until commit(); an exception inside the block discards everything.
@@ -119,15 +116,6 @@ def tour_batch() -> None:
         batch.delete(b"user2")
     print(f"  after commit: config={store.get(b'config')}, "
           f"user2={store.get(b'user2')}")
-
-    # Stragglers that still mutate per-tuple can be wrapped in the shim:
-    # same behavior, but each direct call surfaces a DeprecationWarning.
-    shimmed = PerTupleShim(store)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        shimmed.put(b"legacy", b"call-site")
-    print(f"  PerTupleShim warned: {caught[0].category.__name__}: "
-          f"{str(caught[0].message)[:60]}...")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 Not a paper figure — it validates the batched hot path's contract.
 ``max_batch_records`` pushes columnar record batches through the engine
-and the backends' native ``multi_*`` implementations; the sweep runs one
+into each backend's ``multi_append``; the sweep runs one
 AAR query (Q7) and one RMW query (Q11) per backend at batch sizes 1, 8,
 64, and 256 and reports, per cell:
 

@@ -92,31 +92,6 @@ class AarStore:
         if self._buffer_bytes >= self._write_buffer_bytes:
             self.flush()
 
-    def multi_append(self, entries: list[tuple[bytes, bytes, Window]]) -> None:
-        """Batch append: one open-check, the rest loops :meth:`append`'s body.
-
-        Charges and the per-entry flush-threshold check are identical to
-        calling :meth:`append` in a loop — buffer spills must not depend
-        on batch size — only the Python dispatch overhead is amortized.
-        """
-        self._check_open()
-        charge = self._env.charge_cpu
-        probe = self._env.cpu.hash_probe
-        allocation = self._env.cpu.allocation
-        buffer = self._buffer
-        for key, value, window in entries:
-            charge(CAT_STORE_WRITE, probe)
-            bucket = buffer.get(window)
-            if bucket is None:
-                bucket = []
-                buffer[window] = bucket
-                charge(CAT_STORE_WRITE, allocation)
-            bucket.append((key, value))
-            self._buffer_bytes += len(key) + len(value) + 16
-            if self._buffer_bytes >= self._write_buffer_bytes:
-                self.flush()
-                buffer = self._buffer
-
     def flush(self) -> None:
         """Append each bucket to its per-window log file (one I/O each)."""
         self._check_open()

@@ -249,39 +249,6 @@ class AurStore:
         if self._buffer_bytes >= self._write_buffer_bytes:
             self.flush()
 
-    def multi_append(
-        self, entries: list[tuple[bytes, bytes, Window, float]]
-    ) -> None:
-        """Batch append: one open-check, then :meth:`append`'s body per
-        entry.  The ETT update, misprediction eviction, and flush-threshold
-        check all stay per-entry — only Python dispatch is amortized."""
-        self._check_open()
-        charge = self._env.charge_cpu
-        probe = self._env.cpu.hash_probe
-        allocation = self._env.cpu.allocation
-        for key, value, window, timestamp in entries:
-            charge(CAT_STORE_WRITE, probe)
-            state_key = (key, window)
-            self._buffer.setdefault(state_key, []).append(value)
-            self._buffer_bytes += len(key) + len(value) + 16
-            if timestamp > self._event_time:
-                self._event_time = timestamp
-            stat = self._stat.get(state_key)
-            if stat is None:
-                stat = _WindowStat(
-                    epoch=self._consumed.get((key, window.key_bytes()), 0)
-                )
-                self._stat[state_key] = stat
-                charge(CAT_STORE_WRITE, allocation)
-            stat.ett = self._predictor.update(window, timestamp, stat.ett)
-            charge(CAT_STORE_WRITE, probe)
-            if state_key in self._prefetch:
-                evicted = self._prefetch.pop(state_key)
-                self._prefetch_bytes -= sum(len(v) for v in evicted)
-                self.prefetch_stats.evictions += 1
-            if self._buffer_bytes >= self._write_buffer_bytes:
-                self.flush()
-
     def flush(self) -> None:
         """Flush the write buffer: data records + index entries (§4.2 ③)."""
         self._check_open()

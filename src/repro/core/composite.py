@@ -13,7 +13,7 @@ interface, translating objects to bytes at the boundary (serde charged).
 from __future__ import annotations
 
 import pickle
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from typing import Any
 
 from repro.core.aar import AarStore
@@ -24,7 +24,6 @@ from repro.core.patterns import StorePattern
 from repro.core.rmw import RmwStore
 from repro.errors import PatternError
 from repro.kvstores.api import (
-    CAP_BATCH,
     CAP_INCREMENTAL,
     CAP_RESCALE,
     CAP_SNAPSHOT,
@@ -44,7 +43,7 @@ from repro.storage.filesystem import SimFileSystem
 class FlowKVComposite(WindowStateBackend):
     """``m`` pattern-specialized store instances behind one backend."""
 
-    capabilities = frozenset({CAP_SNAPSHOT, CAP_RESCALE, CAP_INCREMENTAL, CAP_BATCH})
+    capabilities = frozenset({CAP_SNAPSHOT, CAP_RESCALE, CAP_INCREMENTAL})
 
     def __init__(
         self,
@@ -153,27 +152,17 @@ class FlowKVComposite(WindowStateBackend):
     # ------------------------------------------------------------------
     # append pattern
     # ------------------------------------------------------------------
-    def append(self, key: bytes, window: Window, value: Any, timestamp: float) -> None:
-        self._require(StorePattern.AAR, StorePattern.AUR)
-        data = self._encode(value)
-        self._dirty.log_append(key, window, self._kind, (data,))
-        store = self._route(key)
-        if self._pattern is StorePattern.AAR:
-            store.append(key, data, window)
-        else:
-            store.append(key, data, window, timestamp)
-
     def multi_append(
-        self, entries: list[tuple[bytes, Window, Any, float]]
+        self, entries: Iterable[tuple[bytes, Window, Any, float]]
     ) -> None:
-        """Native batch append over the ``m`` routed instances.
+        """Encode, log and route each entry to its store instance.
 
         The loop stays strictly in entry order: the sub-stores share one
         cost environment, so regrouping entries per instance would reorder
-        same-category charges and drift the clock.  Amortization is real
-        Python overhead only — the routing hash is memoized per key within
-        the batch and hot attributes are hoisted — while each entry's
-        serde, changelog, and store charges match :meth:`append` exactly.
+        same-category charges and drift the clock.  A batch amortizes host
+        work only — the routing hash is memoized per key within the call
+        and hot attributes are hoisted; serde, changelog and store charges
+        are per entry.
         """
         self._require(StorePattern.AAR, StorePattern.AUR)
         kind = self._kind

@@ -142,43 +142,6 @@ class RmwStore:
         self._env.charge_cpu(CAT_STORE_WRITE, self._env.cpu.hash_probe)
         self._admit((key, window), aggregate, dirty=True)
 
-    def multi_get(self, cells: list[tuple[bytes, Window]]) -> list[bytes | None]:
-        """Batch read: one open-check, then :meth:`get`'s body per cell."""
-        self._check_open()
-        charge = self._env.charge_cpu
-        probe = self._env.cpu.hash_probe
-        buffer = self._buffer
-        index = self._index
-        results: list[bytes | None] = []
-        for key, window in cells:
-            charge(CAT_STORE_READ, probe)
-            state_key = (key, window)
-            value = buffer.get(state_key)
-            if value is not None:
-                buffer.move_to_end(state_key)
-                results.append(value)
-                continue
-            location = index.get(state_key)
-            if location is None:
-                results.append(None)
-                continue
-            value = self._read_location(location, CAT_STORE_READ)
-            self._admit(state_key, value, dirty=False)
-            results.append(value)
-        return results
-
-    def multi_put(self, entries: list[tuple[bytes, Window, bytes]]) -> None:
-        """Batch write-back: one open-check, then :meth:`put`'s body per
-        entry — the per-entry spill check is the modelled behaviour and
-        must not depend on batch size."""
-        self._check_open()
-        charge = self._env.charge_cpu
-        probe = self._env.cpu.hash_probe
-        admit = self._admit
-        for key, window, aggregate in entries:
-            charge(CAT_STORE_WRITE, probe)
-            admit((key, window), aggregate, dirty=True)
-
     def remove(self, key: bytes, window: Window) -> bytes | None:
         """Fetch & remove the aggregate (window trigger)."""
         self._check_open()

@@ -31,7 +31,6 @@ from typing import Any
 
 from repro.errors import StoreClosedError
 from repro.kvstores.api import (
-    CAP_BATCH,
     CAP_INCREMENTAL,
     CAP_RESCALE,
     CAP_SNAPSHOT,
@@ -124,7 +123,7 @@ class JoinStateBackend:
       an expired-empty group's stale shard ref is dropped.
     """
 
-    capabilities = frozenset({CAP_SNAPSHOT, CAP_RESCALE, CAP_INCREMENTAL, CAP_BATCH})
+    capabilities = frozenset({CAP_SNAPSHOT, CAP_RESCALE, CAP_INCREMENTAL})
 
     def __init__(self, env: SimEnv, max_key_groups: int = DEFAULT_MAX_KEY_GROUPS) -> None:
         self._env = env
@@ -170,28 +169,6 @@ class JoinStateBackend:
             self._dirty.log_append(key, _JOIN_WINDOW, _SIDE_KIND[side], (data,))
         else:
             self._dirty.mark_key(key)
-
-    def multi_insert(
-        self, entries: list[tuple[str, bytes, float, Any]]
-    ) -> None:
-        """Batch insert: one open-check, then :meth:`insert`'s body per
-        entry.  Changelog/dirty charges stay per-entry identical; hot
-        attributes are hoisted to amortize real Python overhead only."""
-        self._check_open()
-        sides = self._sides
-        dirty = self._dirty
-        logging = dirty.logging
-        serialize = self._log_serde.serialize
-        charge = self._env.charge_cpu
-        serde_cost = self._env.cpu.serde
-        for side, key, timestamp, value in entries:
-            sides[side].setdefault(key, _SideBuffer()).add(timestamp, value)
-            if logging:
-                data = serialize((timestamp, value))
-                charge(CAT_CHANGELOG, serde_cost(len(data)))
-                dirty.log_append(key, _JOIN_WINDOW, _SIDE_KIND[side], (data,))
-            else:
-                dirty.mark_key(key)
 
     def expire(self, left_cut: float, right_cut: float) -> int:
         """Drop entries no watermark-respecting record can join anymore.

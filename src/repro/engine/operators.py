@@ -21,7 +21,7 @@ matches FlowKV's AUR design (§4.2) and works identically on all backends.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -72,6 +72,23 @@ class WindowOperator:
             self.assigner.kind.aligned
             or getattr(self.assigner, "aligned_hint", None) is True
         )
+        # Patterns that must see their own writes record by record (count
+        # windows fire mid-tuple, sessions merge state they may re-read,
+        # incremental RMW reads its previous write) get a per-record
+        # handler; None selects the deferred append of process_batch.
+        # Held as the plain function, not a bound method, so the operator
+        # does not reference itself (it is freed with its state as soon as
+        # a rescale or restore drops the instance).
+        cls = type(self)
+        self._per_record: Callable[[WindowOperator, StreamRecord], None] | None
+        if isinstance(self.assigner, CountWindowAssigner):
+            self._per_record = cls._process_count
+        elif self.assigner.merging:
+            self._per_record = cls._process_session
+        elif self.incremental:
+            self._per_record = cls._process_aligned_rmw
+        else:
+            self._per_record = None
         self._timers: list[tuple[float, int, tuple]] = []
         self._timer_seq = 0
         self._pending_aligned: set[Window] = set()
@@ -97,22 +114,6 @@ class WindowOperator:
     def _register_timer(self, timestamp: float, payload: tuple) -> None:
         self._timer_seq += 1
         heapq.heappush(self._timers, (timestamp, self._timer_seq, payload))
-
-    # ------------------------------------------------------------------
-    # tuple path
-    # ------------------------------------------------------------------
-    def process(self, record: StreamRecord) -> None:
-        self.env.charge_cpu(CAT_ENGINE, self.env.cpu.function_call)
-        if record.timestamp > self._max_timestamp:
-            self._max_timestamp = record.timestamp
-        if isinstance(self.assigner, CountWindowAssigner):
-            self._process_count(record)
-        elif self.assigner.merging:
-            self._process_session(record)
-        else:
-            self._process_aligned(record)
-        if self._prefetch_on:
-            self._hint_due_triggers()
 
     # ------------------------------------------------------------------
     # semantic prefetch hints
@@ -159,33 +160,38 @@ class WindowOperator:
                 for initial in session.initials:
                     self.backend.prefetch_keys(initial, [key])
 
-    def process_batch(self, records: list[StreamRecord]) -> None:
-        """Batch entry point for the runtime's record batches.
+    # ------------------------------------------------------------------
+    # tuple path
+    # ------------------------------------------------------------------
+    def process(self, record: StreamRecord) -> None:
+        self.process_batch((record,))
+
+    def process_batch(self, records: Sequence[StreamRecord]) -> None:
+        """The operator's one record entry point (``process`` is a batch
+        of one).
 
         Only the non-incremental, non-merging append path defers state
-        writes into one ``multi_append`` — count windows fire mid-tuple,
-        sessions merge state they may re-read, and incremental RMW reads
-        its own writes, so those stay strict per-record loops.  Charges
-        regroup by category (all engine, then all serde + store) but
-        per-category order matches the per-tuple loop exactly; no reads
-        happen between the deferred writes because triggers only run at
+        writes into one ``multi_append``; the other patterns run their
+        per-record handler in a strict loop.  Deferral regroups charges by
+        category (all engine, then all serde + store) but per-category
+        order matches a record-at-a-time run exactly; no reads happen
+        between the deferred writes because triggers only run at
         watermarks, and the runtime flushes batches before broadcasting.
         """
-        if (
-            self.incremental
-            or self.assigner.merging
-            or isinstance(self.assigner, CountWindowAssigner)
-        ):
-            process = self.process
-            for record in records:
-                process(record)
-            return
         charge = self.env.charge_cpu
         function_call = self.env.cpu.function_call
+        per_record = self._per_record
+        if per_record is not None:
+            for record in records:
+                charge(CAT_ENGINE, function_call)
+                if record.timestamp > self._max_timestamp:
+                    self._max_timestamp = record.timestamp
+                per_record(self, record)
+                if self._prefetch_on:
+                    self._hint_due_triggers()
+            return
         branch_step = self.env.cpu.branch_step
         assign = self.assigner.assign
-        aligned_reads = self.aligned_reads
-        pending = self._pending_aligned
         entries: list[tuple[bytes, Window, Any, float]] = []
         for record in records:
             charge(CAT_ENGINE, function_call)
@@ -196,11 +202,13 @@ class WindowOperator:
                 entries.append(
                     (record.key, window, record.value, record.timestamp)
                 )
-                if aligned_reads:
-                    if window not in pending:
-                        pending.add(window)
+                if self.aligned_reads:
+                    if window not in self._pending_aligned:
+                        self._pending_aligned.add(window)
                         self._arm_aligned_window(window)
                 else:
+                    # Custom windows without an alignment hint read per
+                    # key through the AUR store (§8).
                     self._track_window_key(window, record.key)
         if entries:
             if self._prefetch_on:
@@ -227,29 +235,11 @@ class WindowOperator:
                 hints.append(marker)
         self.backend.prefetch_write_keys(hints)
 
-    def _process_aligned(self, record: StreamRecord) -> None:
-        windows = self.assigner.assign(record.timestamp)
-        for window in windows:
+    def _process_aligned_rmw(self, record: StreamRecord) -> None:
+        for window in self.assigner.assign(record.timestamp):
             self.env.charge_cpu(CAT_ENGINE, self.env.cpu.branch_step)
-            if self.incremental:
-                self._rmw_add(record.key, window, record.value)
-                self._track_window_key(window, record.key)
-            else:
-                # State mutation goes through the batch API even on the
-                # per-record path (size-1 batch is charge-identical).
-                if self._prefetch_on:
-                    self.backend.prefetch_write_keys([(record.key, window)])
-                self.backend.multi_append(
-                    [(record.key, window, record.value, record.timestamp)]
-                )
-                if self.aligned_reads:
-                    if window not in self._pending_aligned:
-                        self._pending_aligned.add(window)
-                        self._arm_aligned_window(window)
-                else:
-                    # Custom windows without an alignment hint read per
-                    # key through the AUR store (§8).
-                    self._track_window_key(window, record.key)
+            self._rmw_add(record.key, window, record.value)
+            self._track_window_key(window, record.key)
 
     def _track_window_key(self, window: Window, key: bytes) -> None:
         keys = self._window_keys.get(window)
@@ -284,8 +274,8 @@ class WindowOperator:
         if self.incremental:
             self._rmw_add(record.key, target.initials[0], record.value)
         else:
-            self.backend.multi_append(
-                [(record.key, target.initials[0], record.value, record.timestamp)]
+            self.backend.append(
+                record.key, target.initials[0], record.value, record.timestamp
             )
         self._register_timer(target.current.end, ("session", record.key, target))
 
@@ -296,9 +286,7 @@ class WindowOperator:
         if self.incremental:
             self._rmw_add(record.key, window, record.value)
         else:
-            self.backend.multi_append(
-                [(record.key, window, record.value, record.timestamp)]
-            )
+            self.backend.append(record.key, window, record.value, record.timestamp)
         count += 1
         if count >= assigner.count:
             self._fire_key_window(record.key, window, window)
@@ -307,15 +295,12 @@ class WindowOperator:
             self._count_state[record.key] = (ordinal, count)
 
     def _rmw_add(self, key: bytes, window: Window, value: Any) -> None:
-        # Read-modify-write is irreducibly per-record (each update reads
-        # its own previous write) — size-1 batch calls keep the hot path
-        # on the batch API without changing any charge.
-        accumulator = self.backend.multi_get([(key, window)])[0]
+        accumulator = self.backend.rmw_get(key, window)
         if accumulator is None:
             accumulator = self.function.create_accumulator()
         self.env.charge_cpu(CAT_QUERY, self.env.cpu.function_call)
         accumulator = self.function.add(value, accumulator)
-        self.backend.apply_write_batch([("rmw_put", key, window, accumulator)])
+        self.backend.rmw_put(key, window, accumulator)
 
     # ------------------------------------------------------------------
     # trigger path

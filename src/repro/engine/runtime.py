@@ -293,121 +293,75 @@ class Executor:
         self._last_arrival = 0.0
         cluster = self._plan.cluster
         # Latency mode needs the per-record arrival axis, so batching is
-        # a throughput-mode-only optimization; batch size 1 takes the
-        # exact legacy per-tuple path.
+        # a throughput-mode-only optimization.
         batch_limit = 1 if arrival_rate else max(1, self._plan.max_batch_records)
+        byte_limit = self._plan.max_batch_bytes
+        # Source rows buffered for batched delivery.  Three invariants
+        # keep a batched run equivalent to record-at-a-time execution:
+        # a watermark due mid-batch flushes the partial batch *before*
+        # broadcasting, so timer firing order is identical; while a live
+        # migration is in flight records are delivered immediately (its
+        # intercept and advance hooks are per-record by contract — and a
+        # migration only starts at a boundary, when nothing is buffered);
+        # and batches split at key-group boundaries on delivery, so each
+        # instance still sees exactly its own records, in arrival order.
+        pending: list[tuple[LogicalNode, Any, float, int]] = []
+        pending_bytes = 0
         boundary_args = (
             arrival_rate, watermark_delay, sim_timeout, overload_backlog,
             rescale_policy, checkpointer, faults,
         )
         try:
-            if batch_limit > 1:
-                count = self._run_batched(
-                    merged, count, max_ts, watermark_interval, batch_limit,
-                    faults, cluster, boundary_args,
-                )
-            else:
-                for source_node, value, timestamp in merged:
-                    if faults is not None:
-                        faults.crash_point(
-                            CRASH_RUNTIME_RECORD, now_fn=self._busiest_clock
-                        )
-                    if arrival_rate:
-                        arrival = count / arrival_rate
-                    record = StreamRecord(b"", value, timestamp)
-                    if self._first_ts is None:
-                        self._first_ts = timestamp
-                    # Source tasks are sharded round-robin over cluster
-                    # nodes; the record's first shuffle hop starts from
-                    # its ingest node.
-                    origin = 0 if cluster is None else cluster.ingest_node(count)
-                    self._push(source_node, record, arrival, origin)
-                    count += 1
-                    self.records_ingested = count
-                    if timestamp > max_ts:
-                        max_ts = timestamp
-                    if self._live is not None:
-                        # One chunk per transfer channel per ingested
-                        # record: the migration interleaves with processing.
-                        self._live.advance(arrival)
-                        if self._live.done:
-                            self._live = None
-                    if count % watermark_interval == 0:
-                        self._watermark_boundary(count, max_ts, arrival, *boundary_args)
+            for source_node, value, timestamp in merged:
+                if faults is not None:
+                    faults.crash_point(
+                        CRASH_RUNTIME_RECORD, now_fn=self._busiest_clock
+                    )
+                if arrival_rate:
+                    arrival = count / arrival_rate
+                if self._first_ts is None:
+                    self._first_ts = timestamp
+                # Source tasks are sharded round-robin over cluster
+                # nodes; the record's first shuffle hop starts from
+                # its ingest node.
+                origin = 0 if cluster is None else cluster.ingest_node(count)
+                if batch_limit == 1 or self._live is not None:
+                    self._push(
+                        source_node, StreamRecord(b"", value, timestamp),
+                        arrival, origin,
+                    )
+                else:
+                    pending.append((source_node, value, timestamp, origin))
+                    if byte_limit is not None:
+                        pending_bytes += record_bytes(value)
+                count += 1
+                self.records_ingested = count
+                if timestamp > max_ts:
+                    max_ts = timestamp
+                if self._live is not None:
+                    # One chunk per transfer channel per ingested
+                    # record: the migration interleaves with processing.
+                    self._live.advance(arrival)
+                    if self._live.done:
+                        self._live = None
+                if len(pending) >= batch_limit or (
+                    byte_limit is not None and pending_bytes >= byte_limit
+                ):
+                    self._flush_pending(pending, arrival)
+                    pending_bytes = 0
+                if count % watermark_interval == 0:
+                    if pending:
+                        self._flush_pending(pending, arrival)
+                        pending_bytes = 0
+                    self._watermark_boundary(count, max_ts, arrival, *boundary_args)
+            if pending:
+                self._flush_pending(pending, arrival)
             self._finish(arrival)
         except SimTimeoutError:
             failure = "timeout"
         except EngineOverloadError:
             failure = "overload"
         return self._result(count, failure)
-
-    def _run_batched(
-        self,
-        merged,
-        count: int,
-        max_ts: float,
-        watermark_interval: int,
-        batch_limit: int,
-        faults,
-        cluster,
-        boundary_args: tuple,
-    ) -> int:
-        """Throughput-mode ingest loop over columnar record batches.
-
-        Per-record bookkeeping (crash points, ingest counting, watermark
-        tracking, live-migration advance) is unchanged; only delivery is
-        buffered.  Three invariants keep the simulated run equivalent to
-        per-tuple execution:
-
-        * a watermark due mid-batch flushes the partial batch *before*
-          broadcasting, so timer firing order is identical;
-        * while a live migration is in flight, records bypass the buffer
-          and take the per-record path (the migration's intercept and
-          advance hooks are per-record by contract);
-        * batches split at key-group boundaries on delivery, so each
-          instance still sees exactly its own records, in arrival order.
-        """
-        arrival = 0.0
-        byte_limit = self._plan.max_batch_bytes
-        pending: list[tuple[LogicalNode, Any, float, int]] = []
-        pending_bytes = 0
-        for source_node, value, timestamp in merged:
-            if faults is not None:
-                faults.crash_point(CRASH_RUNTIME_RECORD, now_fn=self._busiest_clock)
-            if self._first_ts is None:
-                self._first_ts = timestamp
-            origin = 0 if cluster is None else cluster.ingest_node(count)
-            if self._live is not None:
-                self._push(
-                    source_node, StreamRecord(b"", value, timestamp), arrival, origin
-                )
-            else:
-                pending.append((source_node, value, timestamp, origin))
-                if byte_limit is not None:
-                    pending_bytes += record_bytes(value)
-            count += 1
-            self.records_ingested = count
-            if timestamp > max_ts:
-                max_ts = timestamp
-            if self._live is not None:
-                self._live.advance(arrival)
-                if self._live.done:
-                    self._live = None
-            if len(pending) >= batch_limit or (
-                byte_limit is not None and pending_bytes >= byte_limit
-            ):
-                self._flush_pending(pending, arrival)
-                pending_bytes = 0
-            if count % watermark_interval == 0:
-                # Watermark-split invariant: deliver the partial batch
-                # first so triggers see every record before the watermark.
-                if pending:
-                    self._flush_pending(pending, arrival)
-                    pending_bytes = 0
-                self._watermark_boundary(count, max_ts, arrival, *boundary_args)
-        if pending:
-            self._flush_pending(pending, arrival)
-        return count
 
     def _flush_pending(
         self, pending: list[tuple[LogicalNode, Any, float, int]], arrival: float
@@ -599,13 +553,6 @@ class Executor:
             busy for reports in self._retired.values() for _s, busy, _r in reports
         )
         return live + retired
-
-    def _backlog_signal(
-        self, arrival: float, arrival_rate: float | None, max_ts: float
-    ) -> float:
-        """Aggregate backlog: the worst entry of the per-instance signal."""
-        backlogs = self._instance_backlogs(arrival, arrival_rate, max_ts)
-        return max(backlogs) if backlogs else 0.0
 
     def _instance_backlogs(
         self, arrival: float, arrival_rate: float | None, max_ts: float

@@ -10,13 +10,12 @@ natively.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from typing import Any
 
 from repro.core.patterns import StorePattern, WindowKind, determine_pattern
 from repro.kvstores.api import (
-    CAP_BATCH,
     CAP_INCREMENTAL,
     CAP_RESCALE,
     CAP_SNAPSHOT,
@@ -117,10 +116,8 @@ class GenericKVBackend(WindowStateBackend):
         # Rescaling and dirty tracking work over any KV store (the glue
         # sees every mutation and can scan_prefix + delete); snapshotting
         # is delegated, so only advertise it when the wrapped store can
-        # actually take one.  The batch surface is native here — encode +
-        # changelog + composite-key work is amortized in one pass and
-        # handed to the store's own multi_append.
-        return frozenset({CAP_RESCALE, CAP_INCREMENTAL, CAP_BATCH}) | (
+        # actually take one.
+        return frozenset({CAP_RESCALE, CAP_INCREMENTAL}) | (
             self._store.capabilities & {CAP_SNAPSHOT}
         )
 
@@ -145,21 +142,15 @@ class GenericKVBackend(WindowStateBackend):
         return self._serde.deserialize(data)
 
     # ------------------------------------------------------------------
-    def append(self, key: bytes, window: Window, value: Any, timestamp: float) -> None:
-        data = self._encode(value)
-        self._dirty.log_append(key, window, self._kind, (data,))
-        self._store.append(composite_key(window, key), data)
-
     def multi_append(
-        self, entries: list[tuple[bytes, Window, Any, float]]
+        self, entries: Iterable[tuple[bytes, Window, Any, float]]
     ) -> None:
-        """Native batch append: encode + changelog + composite keys in one
-        pass, then a single ``multi_append`` on the wrapped store.
+        """Encode + changelog + composite keys in one pass, then a single
+        ``multi_append`` on the wrapped store.
 
-        Charges stay per-entry identical to :meth:`append`; only their
-        grouping changes (all serde first, then all store writes), which
-        preserves per-category charge order — and device I/O order, since
-        only the store writes.
+        Charges are per entry; a batch only regroups them (all serde
+        first, then all store writes), which preserves per-category
+        charge order — and device I/O order, since only the store writes.
         """
         kind = self._kind
         encode = self._encode

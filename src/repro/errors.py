@@ -74,6 +74,23 @@ class UnsupportedOperationError(StoreError):
         self.advertised = frozenset(advertised) if advertised is not None else None
 
 
+class UnknownBatchOpError(StoreError, ValueError):
+    """A committed write batch carried an op other than put/append/delete.
+
+    Also a :class:`ValueError`: the op tag is a bad argument value, and
+    callers that caught the former bare ``ValueError`` keep working.
+    """
+
+    def __init__(self, op: object) -> None:
+        super().__init__(f"unknown write-batch op {op!r}")
+        self.op = op
+
+
+class ExportExhaustedError(StoreError, ValueError):
+    """A state-export stream was asked for a chunk of a key-group that it
+    is not transferring or whose last chunk was already sent."""
+
+
 class StoreRestoreError(StoreError):
     """A snapshot restore was attempted on a store that already holds state.
 

@@ -15,14 +15,17 @@ Two layers:
 
 from __future__ import annotations
 
-import warnings
 import zlib
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import UnsupportedOperationError
+from repro.errors import (
+    ExportExhaustedError,
+    UnknownBatchOpError,
+    UnsupportedOperationError,
+)
 from repro.model import Window
 
 # Entry kinds crossing the migration boundary (elastic rescaling).
@@ -40,18 +43,9 @@ KIND_JOIN_RIGHT = "joinR"  # interval-join right side buffer
 # * ``CAP_INCREMENTAL`` — the backend tracks per-key-group dirtiness
 #   (``dirty_groups()``/``export_group_state()``) so checkpoints can write
 #   deltas and changelog replication can tail its mutations.
-# * ``CAP_BATCH`` — the backend *natively* implements the batched hot-path
-#   surface (``multi_get``/``multi_append``/``write_batch``) with one
-#   amortized call per batch.  Every backend still accepts the batch API —
-#   the base classes provide loop-over-per-tuple defaults — so CAP_BATCH
-#   is a performance statement, not a correctness gate: callers may use
-#   it to pick batch sizes, never to refuse service.  Batched calls must
-#   charge the simulated ledger identically to the per-tuple loop they
-#   replace (charge parity is what keeps batch size a pure real-time knob).
 CAP_SNAPSHOT = "snapshot"  # snapshot() / restore() — checkpointing
 CAP_RESCALE = "rescale"  # export_state() / import_state() — key-group migration
 CAP_INCREMENTAL = "incremental"  # dirty_groups() / export_group_state() — delta checkpoints
-CAP_BATCH = "batch"  # native multi_get() / multi_append() / write_batch()
 
 # Default per-chunk byte budget of a live state transfer.
 DEFAULT_CHUNK_BYTES = 64 << 10
@@ -286,7 +280,9 @@ class StateExportStream:
     def next_chunk(self, group: int) -> StateChunk:
         """The next chunk of ``group`` under the byte budget."""
         if not self.has_more(group):
-            raise ValueError(f"key-group {group} has no chunks left to send")
+            raise ExportExhaustedError(
+                f"key-group {group} has no chunks left to send"
+            )
         entries = self._staged[group]
         start = self._cursor[group]
         end = start
@@ -385,103 +381,6 @@ class WriteBatch:
             self.discard()
 
 
-class WindowWriteBatch:
-    """Accumulate-then-commit batch for a :class:`WindowStateBackend`.
-
-    Same contract as :class:`WriteBatch`, with window-state ops:
-    ``append(key, window, value, timestamp)``, ``rmw_put`` and
-    ``rmw_remove``.  Commit hands the ordered op list to the backend's
-    ``apply_write_batch``; the default implementation funnels append runs
-    through :meth:`WindowStateBackend.multi_append` so even non-CAP_BATCH
-    backends take the batched path.
-    """
-
-    __slots__ = ("_target", "_ops", "_committed")
-
-    def __init__(self, target: "WindowStateBackend") -> None:
-        self._target = target
-        self._ops: list[tuple] = []
-        self._committed = False
-
-    def __len__(self) -> int:
-        return len(self._ops)
-
-    def append(self, key: bytes, window: Window, value: Any, timestamp: float) -> None:
-        self._ops.append(("append", key, window, value, timestamp))
-
-    def rmw_put(self, key: bytes, window: Window, aggregate: Any) -> None:
-        self._ops.append(("rmw_put", key, window, aggregate))
-
-    def rmw_remove(self, key: bytes, window: Window) -> None:
-        self._ops.append(("rmw_remove", key, window))
-
-    def commit(self) -> None:
-        if self._committed:
-            return
-        self._committed = True
-        ops, self._ops = self._ops, []
-        if ops:
-            self._target.apply_write_batch(ops)
-
-    def discard(self) -> None:
-        self._committed = True
-        self._ops = []
-
-    def __enter__(self) -> "WindowWriteBatch":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.commit()
-        else:
-            self.discard()
-
-
-def warn_per_tuple(operation: str) -> None:
-    """Emit the hot-path per-tuple deprecation warning.
-
-    Engine-side call sites must route state mutation through the batch
-    API (``multi_append`` / ``write_batch``), at batch size 1 where a
-    pattern genuinely needs per-record ordering.  Direct ``put``/
-    ``append`` calls outside backends and tests go through this shim so
-    stragglers surface as :class:`DeprecationWarning` without behavior
-    change.
-    """
-    warnings.warn(
-        f"direct per-tuple {operation}() on the hot path is deprecated; "
-        f"use multi_{operation}() or write_batch() (batch size 1 is "
-        f"charge-identical)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-class PerTupleShim:
-    """Proxy that deprecation-warns on direct per-tuple mutation.
-
-    Wrap a store or backend whose callers have not migrated yet: every
-    attribute is forwarded unchanged, but ``put``/``append``/``delete``/
-    ``rmw_put`` first emit a :class:`DeprecationWarning` through
-    :func:`warn_per_tuple`.  The batched surface (``multi_*``,
-    ``write_batch``) passes through silently.
-    """
-
-    _WARNED = frozenset({"put", "append", "delete", "rmw_put"})
-
-    def __init__(self, target: Any) -> None:
-        object.__setattr__(self, "_target", target)
-
-    def __getattr__(self, name: str):
-        attr = getattr(object.__getattribute__(self, "_target"), name)
-        if name in self._WARNED and callable(attr):
-            def shimmed(*args, _attr=attr, _name=name, **kwargs):
-                warn_per_tuple(_name)
-                return _attr(*args, **kwargs)
-
-            return shimmed
-        return attr
-
-
 class KVStore(ABC):
     """Generic persistent KV store interface (byte keys, byte values)."""
 
@@ -494,13 +393,20 @@ class KVStore(ABC):
         """Insert or overwrite ``key``."""
 
     @abstractmethod
-    def append(self, key: bytes, value: bytes) -> None:
-        """Append ``value`` to the list of values stored under ``key``.
+    def multi_append(self, entries: Iterable[tuple[bytes, bytes]]) -> None:
+        """Append each ``(key, value)`` entry, in order, to the list of
+        values stored under its key — the store's one append body.
 
-        For the LSM store this is a RocksDB-style merge operand (lazy
+        For the LSM store an entry is a RocksDB-style merge operand (lazy
         merging); for the hash store it is a read-modify-write of the whole
-        list (the paper's Faster I/O-amplification failure mode).
+        list (the paper's Faster I/O-amplification failure mode).  Every
+        simulated charge and flush check stays per entry, so how callers
+        group entries into calls never shows on the simulated clock.
         """
+
+    def append(self, key: bytes, value: bytes) -> None:
+        """Append one ``value`` under ``key`` (:meth:`multi_append` of one)."""
+        self.multi_append(((key, value),))
 
     @abstractmethod
     def delete(self, key: bytes) -> None:
@@ -558,21 +464,7 @@ class KVStore(ABC):
     def prefetch_get(self, keys: list[bytes]) -> None:
         """Hint: point reads of ``keys`` are imminent (RMW/AUR trigger)."""
 
-    # --- batched hot path -----------------------------------------------
-    # Default implementations loop over the per-tuple methods, so every
-    # store accepts the batch API unchanged; stores advertising
-    # :data:`CAP_BATCH` override with one amortized internal pass.  Both
-    # shapes must charge the ledger identically to the per-tuple loop.
-    def multi_get(self, keys: list[bytes]) -> list[bytes | None]:
-        """Batched :meth:`get`: one merged value (or None) per key, in
-        key order."""
-        return [self.get(key) for key in keys]
-
-    def multi_append(self, entries: list[tuple[bytes, bytes]]) -> None:
-        """Batched :meth:`append` of ``(key, value)`` entries, in order."""
-        for key, value in entries:
-            self.append(key, value)
-
+    # --- staged commit ---------------------------------------------------
     def write_batch(self) -> WriteBatch:
         """An accumulate-then-commit :class:`WriteBatch` bound to this
         store.  No device write happens until the batch commits."""
@@ -581,9 +473,9 @@ class KVStore(ABC):
     def apply_write_batch(self, ops: list[tuple[str, bytes, bytes | None]]) -> None:
         """Apply a committed :class:`WriteBatch`'s ordered op list.
 
-        The default dispatches per op; CAP_BATCH stores override to stage
-        every op in memory before any flush-threshold check runs, so the
-        batch reaches the device as a unit (never a torn prefix).
+        The default dispatches per op; the LSM and hash stores override
+        to stage every op in memory before any flush-threshold check runs,
+        so the batch reaches the device as a unit (never a torn prefix).
         """
         for op, key, value in ops:
             if op == "put":
@@ -593,7 +485,7 @@ class KVStore(ABC):
             elif op == "delete":
                 self.delete(key)
             else:
-                raise ValueError(f"unknown write-batch op {op!r}")
+                raise UnknownBatchOpError(op)
 
     # --- incremental checkpointing (optional) ---------------------------
     def dirty_groups(self) -> frozenset[int]:
@@ -624,8 +516,20 @@ class WindowStateBackend(ABC):
 
     # --- append-pattern (list state) -----------------------------------
     @abstractmethod
+    def multi_append(
+        self, entries: Iterable[tuple[bytes, Window, Any, float]]
+    ) -> None:
+        """Add each ``(key, window, value, timestamp)`` entry, in order, to
+        the list state of its ``(key, window)`` — the backend's one append
+        body, called by the window operator with a whole record batch.
+
+        Charges stay per entry in per-category order, so batch size is a
+        host-time knob only and never shows on the simulated clock.
+        """
+
     def append(self, key: bytes, window: Window, value: Any, timestamp: float) -> None:
-        """Add ``value`` to the list state of ``(key, window)``."""
+        """Add one ``value`` to ``(key, window)`` (:meth:`multi_append` of one)."""
+        self.multi_append(((key, window, value, timestamp),))
 
     @abstractmethod
     def read_window(self, window: Window) -> Iterator[tuple[bytes, list[Any]]]:
@@ -651,55 +555,6 @@ class WindowStateBackend(ABC):
     @abstractmethod
     def rmw_remove(self, key: bytes, window: Window) -> Any | None:
         """Fetch & remove the aggregate of ``(key, window)`` (trigger)."""
-
-    # --- batched hot path -----------------------------------------------
-    # The engine's only mutation surface: operators hand the backend
-    # per-batch entry lists (size 1 where a pattern needs per-record
-    # ordering).  Defaults loop over the per-tuple methods; CAP_BATCH
-    # backends override with one amortized pass that must stay
-    # charge-identical to the loop.
-    def multi_append(
-        self, entries: list[tuple[bytes, Window, Any, float]]
-    ) -> None:
-        """Batched :meth:`append` of ``(key, window, value, timestamp)``
-        entries, in order."""
-        for key, window, value, timestamp in entries:
-            self.append(key, window, value, timestamp)
-
-    def multi_get(self, cells: list[tuple[bytes, Window]]) -> list[Any | None]:
-        """Batched non-destructive point read: the current aggregate of
-        each ``(key, window)`` cell (:meth:`rmw_get`), in cell order."""
-        return [self.rmw_get(key, window) for key, window in cells]
-
-    def write_batch(self) -> WindowWriteBatch:
-        """An accumulate-then-commit :class:`WindowWriteBatch` bound to
-        this backend."""
-        return WindowWriteBatch(self)
-
-    def apply_write_batch(self, ops: list[tuple]) -> None:
-        """Apply a committed :class:`WindowWriteBatch`'s ordered op list.
-
-        Consecutive append runs are funneled through :meth:`multi_append`
-        so even the default implementation takes the batched path; RMW
-        ops dispatch singly (their read-modify-write ordering is the
-        semantics).
-        """
-        run: list[tuple[bytes, Window, Any, float]] = []
-        for op in ops:
-            if op[0] == "append":
-                run.append((op[1], op[2], op[3], op[4]))
-                continue
-            if run:
-                self.multi_append(run)
-                run = []
-            if op[0] == "rmw_put":
-                self.rmw_put(op[1], op[2], op[3])
-            elif op[0] == "rmw_remove":
-                self.rmw_remove(op[1], op[2])
-            else:
-                raise ValueError(f"unknown write-batch op {op[0]!r}")
-        if run:
-            self.multi_append(run)
 
     # --- lifecycle ------------------------------------------------------
     @abstractmethod

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from repro.errors import StoreClosedError
-from repro.kvstores.api import CAP_BATCH, CAP_SNAPSHOT, KVStore
+from repro.errors import StoreClosedError, UnknownBatchOpError
+from repro.kvstores.api import CAP_SNAPSHOT, KVStore
 from repro.serde.codec import decode_bytes, encode_bytes
 from repro.simenv import (
     CAT_COMPACTION,
@@ -63,7 +63,7 @@ class FasterStore(KVStore):
     single-threaded SPE worker (§6.3).
     """
 
-    capabilities = frozenset({CAP_SNAPSHOT, CAP_BATCH})
+    capabilities = frozenset({CAP_SNAPSHOT})
     # Appends are read-copy-update: they read the old value list first,
     # so write-key hints let the prefetcher hide that read's I/O.
     append_reads = True
@@ -271,16 +271,21 @@ class FasterStore(KVStore):
         self._index[key] = self._append_record(key, value, CAT_STORE_WRITE)
         self._maybe_compact()
 
-    def append(self, key: bytes, value: bytes) -> None:
+    def multi_append(self, entries: Iterable[tuple[bytes, bytes]]) -> None:
         """Read-copy-update of the whole value list (Faster's weakness).
 
         Faster has no merge operator: appending to a list means reading
         every previously appended element and writing the grown list back
         — the I/O amplification of §2.2 that makes append workloads time
-        out in Figures 4, 8 and 9.
+        out in Figures 4, 8 and 9.  Every entry pays its own
+        epoch-protection sync and its own read-copy-update: the per-record
+        amplification is the modelled behaviour and must not shrink with
+        batch size.
         """
         self._check_open()
-        self._append_one(key, value)
+        append_one = self._append_one
+        for key, value in entries:
+            append_one(key, value)
 
     def _append_one(self, key: bytes, value: bytes) -> None:
         self._charge_sync()
@@ -292,35 +297,6 @@ class FasterStore(KVStore):
         self._live_bytes += new_length - (record.length if record is not None else 0)
         self._index[key] = self._append_record(key, new_value, CAT_STORE_WRITE)
         self._maybe_compact()
-
-    def multi_append(self, entries: list[tuple[bytes, bytes]]) -> None:
-        """Native batch append: one open check, one loop.
-
-        Every entry still pays its own epoch-protection sync and its
-        read-copy-update — Faster's per-record amplification is the
-        modelled behaviour and must not shrink with batch size.
-        """
-        self._check_open()
-        append_one = self._append_one
-        for key, value in entries:
-            append_one(key, value)
-
-    def multi_get(self, keys: list[bytes]) -> list[bytes | None]:
-        """Batched point reads (one open check; per-key charges unchanged)."""
-        self._check_open()
-        out: list[bytes | None] = []
-        charge = self._env.charge_cpu
-        probe = self._env.cpu.hash_probe
-        index_get = self._index.get
-        for key in keys:
-            self._charge_sync()
-            charge(CAT_STORE_READ, probe)
-            record = index_get(key)
-            out.append(
-                None if record is None
-                else self._read_record_value(record, CAT_STORE_READ)
-            )
-        return out
 
     def apply_write_batch(self, ops: list[tuple[str, bytes, bytes | None]]) -> None:
         """Staged commit over the hybrid log.
@@ -338,7 +314,7 @@ class FasterStore(KVStore):
             elif op == "delete":
                 self.delete(key)
             else:
-                raise ValueError(f"unknown write-batch op {op!r}")
+                raise UnknownBatchOpError(op)
 
     def delete(self, key: bytes) -> None:
         self._check_open()

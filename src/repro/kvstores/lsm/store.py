@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from repro.errors import StoreClosedError
-from repro.kvstores.api import CAP_BATCH, CAP_SNAPSHOT, KVStore
+from repro.errors import StoreClosedError, UnknownBatchOpError
+from repro.kvstores.api import CAP_SNAPSHOT, KVStore
 from repro.kvstores.lsm.blockcache import BlockCache
 from repro.kvstores.lsm.compaction import collapse_versions, merge_sorted_entries
 from repro.kvstores.lsm.format import (
@@ -66,7 +66,7 @@ class LsmStore(KVStore):
     cache on the way.
     """
 
-    capabilities = frozenset({CAP_SNAPSHOT, CAP_BATCH})
+    capabilities = frozenset({CAP_SNAPSHOT})
 
     def __init__(
         self,
@@ -122,38 +122,25 @@ class LsmStore(KVStore):
         self._memtable.put(key, self._next_seq(), value)
         self._maybe_flush()
 
-    def append(self, key: bytes, value: bytes) -> None:
-        """Lazy merge: record an operand without reading the old value.
-
-        The operand is framed so that merged values remain parseable with
-        :func:`repro.kvstores.lsm.format.unpack_list_value` after pure
-        byte concatenation (RocksDB string-append semantics).
-        """
-        self._check_open()
-        self._memtable.merge(key, self._next_seq(), encode_bytes(value))
-        self._maybe_flush()
-
     def delete(self, key: bytes) -> None:
         self._check_open()
         self._memtable.delete(key, self._next_seq())
         self._maybe_flush()
 
-    def multi_append(self, entries: list[tuple[bytes, bytes]]) -> None:
-        """Native batch merge: one open check, per-entry charges unchanged.
+    def multi_append(self, entries: Iterable[tuple[bytes, bytes]]) -> None:
+        """Lazy merge: record one operand per entry without reading the
+        old value.
 
-        The per-entry memtable flush check stays — SSTable boundaries and
+        Each operand is framed so that merged values remain parseable with
+        :func:`repro.kvstores.lsm.format.unpack_list_value` after pure
+        byte concatenation (RocksDB string-append semantics).  The
+        memtable flush check runs per entry — SSTable boundaries and
         compaction charges must not depend on batch size.
         """
         self._check_open()
         for key, value in entries:
             self._memtable.merge(key, self._next_seq(), encode_bytes(value))
             self._maybe_flush()
-
-    def multi_get(self, keys: list[bytes]) -> list[bytes | None]:
-        """Batched point reads (one open check; per-key read path unchanged)."""
-        self._check_open()
-        get = self.get
-        return [get(key) for key in keys]
 
     def apply_write_batch(self, ops: list[tuple[str, bytes, bytes | None]]) -> None:
         """Atomic staged commit: every op lands in the memtable before the
@@ -176,7 +163,7 @@ class LsmStore(KVStore):
             elif op == "delete":
                 self._memtable.delete(key, self._next_seq())
             else:
-                raise ValueError(f"unknown write-batch op {op!r}")
+                raise UnknownBatchOpError(op)
         self._maybe_flush()
 
     def get(self, key: bytes) -> bytes | None:

@@ -16,13 +16,12 @@ Objects are stored directly (no serde), as Flink's heap backend does.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import StoreClosedError, StoreOOMError
 from repro.kvstores.api import (
-    CAP_BATCH,
     CAP_INCREMENTAL,
     CAP_RESCALE,
     CAP_SNAPSHOT,
@@ -81,7 +80,7 @@ class HeapWindowBackend(WindowStateBackend):
     kept in separate namespaces like Flink's ListState/ValueState.
     """
 
-    capabilities = frozenset({CAP_SNAPSHOT, CAP_RESCALE, CAP_INCREMENTAL, CAP_BATCH})
+    capabilities = frozenset({CAP_SNAPSHOT, CAP_RESCALE, CAP_INCREMENTAL})
 
     def __init__(
         self,
@@ -159,27 +158,12 @@ class HeapWindowBackend(WindowStateBackend):
     # ------------------------------------------------------------------
     # append pattern
     # ------------------------------------------------------------------
-    def append(self, key: bytes, window: Window, value: Any, timestamp: float) -> None:
-        self._check_open()
-        self._env.charge_cpu(CAT_STORE_WRITE, 2 * self._env.cpu.hash_probe)
-        per_key = self._lists.setdefault(window, {})
-        per_key.setdefault(key, []).append((value, self._sizer(value)))
-        if self._dirty.logging:
-            self._dirty.log_append(key, window, KIND_LIST, (self._log_payload(value),))
-        else:
-            self._dirty.mark_key(key)
-        self._allocate(per_key[key][-1][1])
-
     def multi_append(
-        self, entries: list[tuple[bytes, Window, Any, float]]
+        self, entries: Iterable[tuple[bytes, Window, Any, float]]
     ) -> None:
-        """Native batch append: one pass, per-entry charges unchanged.
-
-        Amortizes the per-call overhead (open check, attribute lookups)
-        while keeping the exact per-entry charge sequence of
-        :meth:`append` — GC pressure and the OOM check still evolve with
-        heap occupancy entry by entry.
-        """
+        """One open check and hoisted lookups per call; every charge per
+        entry — GC pressure and the OOM check evolve with heap occupancy
+        entry by entry, whatever the batch size."""
         self._check_open()
         charge = self._env.charge_cpu
         probe2 = 2 * self._env.cpu.hash_probe

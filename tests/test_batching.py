@@ -182,17 +182,11 @@ class TestWatermarkMidBatch:
 
     @staticmethod
     def _instrument(monkeypatch, events: list) -> None:
-        orig_process = WindowOperator.process
         orig_batch = WindowOperator.process_batch
         orig_watermark = WindowOperator.on_watermark
 
-        def process(self, record):
-            self._test_seen = getattr(self, "_test_seen", 0) + 1
-            orig_process(self, record)
-
         def process_batch(self, records):
-            # The aligned non-incremental path never re-enters process(),
-            # so the counter is not double-counted.
+            # process() is a batch of one, so this counts every record once.
             self._test_seen = getattr(self, "_test_seen", 0) + len(records)
             orig_batch(self, records)
 
@@ -200,7 +194,6 @@ class TestWatermarkMidBatch:
             events.append((round(watermark, 9), getattr(self, "_test_seen", 0)))
             orig_watermark(self, watermark)
 
-        monkeypatch.setattr(WindowOperator, "process", process)
         monkeypatch.setattr(WindowOperator, "process_batch", process_batch)
         monkeypatch.setattr(WindowOperator, "on_watermark", on_watermark)
 
@@ -273,10 +266,10 @@ class TestWriteBatchAtomicity:
         for key in KEYS:
             batch.put(key, VALUE)
         assert fs.list_files() == []
-        assert store.multi_get(KEYS) == [None] * len(KEYS)
+        assert [store.get(k) for k in KEYS] == [None] * len(KEYS)
         batch.commit()
         assert fs.list_files() != []
-        assert store.multi_get(KEYS) == [VALUE] * len(KEYS)
+        assert [store.get(k) for k in KEYS] == [VALUE] * len(KEYS)
 
     def test_abandoned_batch_applies_nothing(self, env, fs):
         store = LsmStore(env, fs, "lsm", LSM_SMALL)
@@ -285,7 +278,7 @@ class TestWriteBatchAtomicity:
                 for key in KEYS:
                     batch.put(key, VALUE)
                 raise RuntimeError("abandon")
-        assert store.multi_get(KEYS) == [None] * len(KEYS)
+        assert [store.get(k) for k in KEYS] == [None] * len(KEYS)
         assert fs.list_files() == []
 
     def test_failed_commit_flush_keeps_whole_batch_readable(self):
@@ -298,7 +291,7 @@ class TestWriteBatchAtomicity:
             with store.write_batch() as batch:
                 for key in KEYS:
                     batch.put(key, VALUE)
-        assert store.multi_get(KEYS) == [VALUE] * len(KEYS)
+        assert [store.get(k) for k in KEYS] == [VALUE] * len(KEYS)
         assert fs.list_files() == []
 
     def test_torn_commit_flush_cannot_half_apply(self):
@@ -311,7 +304,7 @@ class TestWriteBatchAtomicity:
             with store.write_batch() as batch:
                 for key in KEYS:
                     batch.put(key, VALUE)
-        assert store.multi_get(KEYS) == [VALUE] * len(KEYS)
+        assert [store.get(k) for k in KEYS] == [VALUE] * len(KEYS)
 
     def test_faster_batch_commits_whole_in_mutable_tail(self, env, fs):
         # FasterStore's staged commit: new records land in the mutable
@@ -323,9 +316,9 @@ class TestWriteBatchAtomicity:
         batch = store.write_batch()
         for key in KEYS:
             batch.put(key, VALUE)
-        assert store.multi_get(KEYS) == [None] * len(KEYS)
+        assert [store.get(k) for k in KEYS] == [None] * len(KEYS)
         batch.commit()
-        assert store.multi_get(KEYS) == [VALUE] * len(KEYS)
+        assert [store.get(k) for k in KEYS] == [VALUE] * len(KEYS)
 
     def test_mixed_ops_apply_in_order(self, env, fs):
         store = LsmStore(env, fs, "lsm", LSM_SMALL)

@@ -9,10 +9,14 @@ halfway through a checkpoint or migration.
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
 from dataclasses import replace
 
 import pytest
 
+import repro
 from repro.bench.harness import run_query
 from repro.bench.profiles import TINY_PROFILE
 from repro.core import FlowKVComposite
@@ -20,7 +24,6 @@ from repro.core.patterns import StorePattern, WindowKind
 from repro.engine.state import GenericKVBackend, OperatorInfo
 from repro.errors import StoreError, UnsupportedOperationError
 from repro.kvstores.api import (
-    CAP_BATCH,
     CAP_INCREMENTAL,
     CAP_RESCALE,
     CAP_SNAPSHOT,
@@ -39,7 +42,7 @@ from repro.storage import SimFileSystem
 class BareBackend(WindowStateBackend):
     """A backend implementing only the required surface — no optionals."""
 
-    def append(self, key, window, value, timestamp):
+    def multi_append(self, entries):
         pass
 
     def read_window(self, window):
@@ -77,7 +80,7 @@ class BareStore(KVStore):
     def put(self, key, value):
         pass
 
-    def append(self, key, value):
+    def multi_append(self, entries):
         pass
 
     def delete(self, key):
@@ -104,34 +107,32 @@ def heap_backend():
 class TestAdvertisedCapabilities:
     def test_heap_backend_supports_everything(self):
         assert heap_backend().capabilities == {
-            CAP_SNAPSHOT, CAP_RESCALE, CAP_INCREMENTAL, CAP_BATCH,
+            CAP_SNAPSHOT, CAP_RESCALE, CAP_INCREMENTAL,
         }
 
     def test_flowkv_supports_everything(self):
         env = SimEnv()
         backend = FlowKVComposite(env, SimFileSystem(env), StorePattern.AAR)
         assert backend.capabilities == {
-            CAP_SNAPSHOT, CAP_RESCALE, CAP_INCREMENTAL, CAP_BATCH,
+            CAP_SNAPSHOT, CAP_RESCALE, CAP_INCREMENTAL,
         }
 
     def test_generic_kv_inherits_snapshot_from_store(self):
         env = SimEnv()
         for store_cls in (LsmStore, FasterStore):
             store = store_cls(env, SimFileSystem(env), "s")
-            assert store.capabilities == {CAP_SNAPSHOT, CAP_BATCH}
+            assert store.capabilities == {CAP_SNAPSHOT}
             backend = GenericKVBackend(env, store)
             assert backend.capabilities == {
-                CAP_SNAPSHOT, CAP_RESCALE, CAP_INCREMENTAL, CAP_BATCH,
+                CAP_SNAPSHOT, CAP_RESCALE, CAP_INCREMENTAL,
             }
 
     def test_generic_kv_over_bare_store_can_rescale_not_snapshot(self):
         # export/import (and the dirty-group bookkeeping riding on it) is
         # implemented generically on top of scan/put, but snapshotting
-        # needs the store's own support.  The glue's batch surface only
-        # needs the base-class loop fallback underneath, so CAP_BATCH is
-        # advertised regardless of the wrapped store.
+        # needs the store's own support.
         backend = GenericKVBackend(SimEnv(), BareStore())
-        assert backend.capabilities == {CAP_RESCALE, CAP_INCREMENTAL, CAP_BATCH}
+        assert backend.capabilities == {CAP_RESCALE, CAP_INCREMENTAL}
 
     def test_base_classes_advertise_nothing(self):
         assert BareBackend().capabilities == frozenset()
@@ -171,7 +172,7 @@ class TestTypedErrors:
         # can see at a glance whether they hold the wrong backend or just
         # asked for the wrong feature.
         with pytest.raises(UnsupportedOperationError) as exc_info:
-            require_capability(BareBackend(), CAP_BATCH, "multi_append")
+            require_capability(BareBackend(), CAP_RESCALE, "export_state")
         assert "advertises no optional capabilities" in str(exc_info.value)
         backend = GenericKVBackend(SimEnv(), BareStore())
         with pytest.raises(UnsupportedOperationError) as exc_info:
@@ -183,30 +184,21 @@ class TestTypedErrors:
         assert exc_info.value.advertised == backend.capabilities
 
 
-class TestBatchCapability:
-    """CAP_BATCH is a performance statement: every backend — advertised
-    or not — answers batch calls correctly through the base-class loop."""
+class TestOneAppendBody:
+    """``multi_append`` is the append body a backend or store writes;
+    the per-entry ``append`` is derived from it in the base classes."""
 
-    def test_bare_backend_falls_back_to_per_tuple_loop(self):
+    def test_bare_backend_answers_append_through_multi_append(self):
         calls = []
 
         class RecordingBackend(BareBackend):
-            def append(self, key, window, value, timestamp):
-                calls.append(("append", key, value))
-
-            def rmw_get(self, key, window):
-                calls.append(("get", key))
-                return None
+            def multi_append(self, entries):
+                calls.extend(entries)
 
         backend = RecordingBackend()
-        assert CAP_BATCH not in backend.capabilities
-        backend.multi_append([
-            (b"a", GLOBAL_WINDOW, 1, 0.0), (b"b", GLOBAL_WINDOW, 2, 1.0),
-        ])
-        assert backend.multi_get([(b"a", GLOBAL_WINDOW)]) == [None]
-        assert calls == [
-            ("append", b"a", 1), ("append", b"b", 2), ("get", b"a"),
-        ]
+        backend.append(b"a", GLOBAL_WINDOW, 1, 0.0)
+        backend.multi_append([(b"b", GLOBAL_WINDOW, 2, 1.0)])
+        assert calls == [(b"a", GLOBAL_WINDOW, 1, 0.0), (b"b", GLOBAL_WINDOW, 2, 1.0)]
 
     def test_bare_store_write_batch_applies_on_commit(self):
         class RecordingStore(BareStore):
@@ -216,11 +208,10 @@ class TestBatchCapability:
             def put(self, key, value):
                 self.ops.append(("put", key, value))
 
-            def append(self, key, value):
-                self.ops.append(("append", key, value))
+            def multi_append(self, entries):
+                self.ops.extend(("append", key, value) for key, value in entries)
 
         store = RecordingStore()
-        assert CAP_BATCH not in store.capabilities
         with store.write_batch() as batch:
             batch.put(b"k", b"v")
             batch.append(b"k", b"w")
@@ -242,17 +233,47 @@ class TestBatchCapability:
                 raise RuntimeError("operator failed mid-batch")
         assert store.ops == []
 
-    def test_requiring_batch_degrades_gracefully(self):
-        # A caller that *wants* the amortized path checks up front and
-        # falls back to the identical-semantics loop when refused.
-        backend = BareBackend()
-        try:
-            require_capability(backend, CAP_BATCH, "multi_append")
-            used_native = True
-        except UnsupportedOperationError:
-            used_native = False
-        assert not used_native
-        backend.multi_append([(b"k", GLOBAL_WINDOW, 1, 0.0)])  # still works
+
+def _public_names(cls):
+    return {name for name in vars(cls) if not name.startswith("_")}
+
+
+class TestSurfacePin:
+    """The store API is the pattern calls of the paper's Listing 1 plus
+    lifecycle, hints and the optional capabilities — growing it again is
+    a deliberate act that edits these sets."""
+
+    def test_window_state_backend_surface(self):
+        assert _public_names(WindowStateBackend) == {
+            "multi_append", "append", "read_window", "read_key_window",
+            "rmw_get", "rmw_put", "rmw_remove",
+            "flush", "close", "memory_bytes", "on_watermark",
+            "prefetch_enabled", "prefetch_window", "prefetch_keys",
+            "prefetch_write_keys",
+            "capabilities", "snapshot", "restore",
+            "export_state", "import_state",
+            "dirty_groups", "clear_dirty", "export_group_state",
+        }
+
+    def test_kv_store_surface(self):
+        assert _public_names(KVStore) == {
+            "get", "put", "multi_append", "append", "delete", "scan_prefix",
+            "flush", "close", "memory_bytes", "disk_bytes", "capabilities",
+            "append_reads", "prefetch_active", "prefetch_scan", "prefetch_get",
+            "write_batch", "apply_write_batch",
+            "dirty_groups", "clear_dirty",
+        }
+
+    def test_no_concrete_class_has_two_append_bodies(self):
+        doubled = []
+        for module_info in pkgutil.walk_packages(repro.__path__, "repro."):
+            module = importlib.import_module(module_info.name)
+            for name, cls in inspect.getmembers(module, inspect.isclass):
+                if cls.__module__ != module.__name__ or inspect.isabstract(cls):
+                    continue
+                if {"append", "multi_append"} <= set(vars(cls)):
+                    doubled.append(f"{module.__name__}.{name}")
+        assert doubled == []
 
 
 class TestCallersCheckUpFront:
@@ -330,5 +351,5 @@ class TestCallersCheckUpFront:
                             window_kind=WindowKind.FIXED)
         assert info.pattern is not None
         assert heap_backend().capabilities == {
-            CAP_SNAPSHOT, CAP_RESCALE, CAP_INCREMENTAL, CAP_BATCH,
+            CAP_SNAPSHOT, CAP_RESCALE, CAP_INCREMENTAL,
         }

@@ -8,6 +8,11 @@ from repro.core.aar import AarStore
 from repro.core.aur import AurStore
 from repro.core.ett import SessionGapPredictor
 from repro.core.rmw import RmwStore
+from repro.errors import ExportExhaustedError, StoreError, UnknownBatchOpError
+from repro.kvstores.api import KVStore, StateExportStream, key_group_of
+from repro.kvstores.hashkv import FasterStore
+from repro.kvstores.lsm import LsmStore
+from repro.kvstores.memory import HeapWindowBackend
 from repro.model import Window
 from repro.simenv import SimEnv
 from repro.storage import SimFileSystem
@@ -133,3 +138,33 @@ class TestManySmallWindows:
             store.append(b"k", str(i).encode(), window, window.start)
         for i, window in enumerate(windows):
             assert store.get(b"k", window) == [str(i).encode()]
+
+
+class TestTypedApiEdgeErrors:
+    """API-edge misuse raises a StoreError subclass (still a ValueError)."""
+
+    @pytest.mark.parametrize("apply", [
+        lambda env, fs, ops: LsmStore(env, fs, "lsm").apply_write_batch(ops),
+        lambda env, fs, ops: FasterStore(env, fs, "faster").apply_write_batch(ops),
+        # the base-class default, reached through a store's own methods
+        lambda env, fs, ops: KVStore.apply_write_batch(LsmStore(env, fs, "lsm"), ops),
+    ])
+    def test_unknown_write_batch_op(self, apply):
+        env, fs = fresh()
+        with pytest.raises(UnknownBatchOpError, match="'upsert'") as exc_info:
+            apply(env, fs, [("put", b"k", b"v"), ("upsert", b"k", b"w")])
+        assert isinstance(exc_info.value, StoreError)
+        assert isinstance(exc_info.value, ValueError)
+        assert exc_info.value.op == "upsert"
+
+    def test_export_stream_exhausted_group(self):
+        backend = HeapWindowBackend(SimEnv(), 1 << 20)
+        backend.append(b"k", W, 1, 0.0)
+        group = key_group_of(b"k")
+        stream = StateExportStream(backend, {group}, key_group_of)
+        assert stream.next_chunk(group).last
+        for missing in (group, group + 1):  # drained, and never exported
+            with pytest.raises(ExportExhaustedError, match="no chunks left") as exc_info:
+                stream.next_chunk(missing)
+            assert isinstance(exc_info.value, StoreError)
+            assert isinstance(exc_info.value, ValueError)
