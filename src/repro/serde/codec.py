@@ -14,9 +14,16 @@ _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _I64 = struct.Struct("<q")
 
+# The 128 one-byte varints.  Nearly every key and value length the stores
+# encode is below 0x80, so encoders return a shared constant and decoders
+# take the single byte inline; the loops below handle everything else.
+_ONE_BYTE_VARINTS = tuple(bytes((value,)) for value in range(0x80))
+
 
 def encode_varint(value: int) -> bytes:
     """LEB128-encode a non-negative integer."""
+    if 0 <= value < 0x80:
+        return _ONE_BYTE_VARINTS[value]
     if value < 0:
         raise ValueError(f"varint must be non-negative: {value}")
     out = bytearray()
@@ -32,6 +39,8 @@ def encode_varint(value: int) -> bytes:
 
 def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
     """Decode a LEB128 varint; returns ``(value, next_offset)``."""
+    if offset < len(data) and (byte := data[offset]) < 0x80:
+        return byte, offset + 1
     result = 0
     shift = 0
     pos = offset
@@ -50,12 +59,18 @@ def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
 
 def encode_bytes(payload: bytes) -> bytes:
     """Length-prefixed byte string."""
-    return encode_varint(len(payload)) + payload
+    length = len(payload)
+    if length < 0x80:
+        return _ONE_BYTE_VARINTS[length] + payload
+    return encode_varint(length) + payload
 
 
 def decode_bytes(data: bytes, offset: int = 0) -> tuple[bytes, int]:
     """Decode a length-prefixed byte string; returns ``(payload, next_offset)``."""
-    length, pos = decode_varint(data, offset)
+    if offset < len(data) and (length := data[offset]) < 0x80:
+        pos = offset + 1
+    else:
+        length, pos = decode_varint(data, offset)
     end = pos + length
     if end > len(data):
         raise ValueError("truncated byte string")

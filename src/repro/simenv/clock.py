@@ -8,17 +8,15 @@ class SimClock:
 
     The clock only moves when work is charged to it (CPU time or I/O wait),
     which makes every run of the simulator bit-for-bit deterministic.
+
+    ``now`` is a plain attribute: the validated charge path adds to it
+    directly, everyone else goes through :meth:`advance`.
     """
 
-    __slots__ = ("_now",)
+    __slots__ = ("now",)
 
     def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
+        self.now = float(start)
 
     def advance(self, seconds: float) -> float:
         """Advance the clock by ``seconds`` and return the new time.
@@ -28,12 +26,12 @@ class SimClock:
         """
         if seconds < 0:
             raise ValueError(f"cannot advance clock by negative time: {seconds}")
-        self._now += seconds
-        return self._now
+        self.now += seconds
+        return self.now
 
     def reset(self, start: float = 0.0) -> None:
         """Reset the clock to ``start`` (used between benchmark runs)."""
-        self._now = float(start)
+        self.now = float(start)
 
     def __repr__(self) -> str:
-        return f"SimClock(now={self._now:.6f})"
+        return f"SimClock(now={self.now:.6f})"

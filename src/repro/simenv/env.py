@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from repro.simenv.clock import SimClock
 from repro.simenv.cpu import CpuCostModel
 from repro.simenv.disk import SsdCostModel
-from repro.simenv.metrics import CAT_NETWORK, CAT_PREFETCH, MetricsLedger
+from repro.simenv.metrics import CAT_NETWORK, CAT_PREFETCH, MetricsLedger, _unknown_category
 
 
 def scaled_cost_models(
@@ -80,15 +80,26 @@ class SimEnv:
         return self.clock.now
 
     def charge_cpu(self, category: str, seconds: float) -> None:
-        """Charge CPU time: advances the clock and books the category."""
-        if seconds == 0.0:
+        """Charge CPU time: advances the clock and books the category.
+
+        One frame, one float add each to the category and the clock; a
+        rejected charge changes nothing (DESIGN.md, "The charge path").
+        """
+        if seconds <= 0.0:
+            if seconds == 0.0:
+                return
+            raise ValueError(f"negative CPU charge: {seconds}")
+        if self._prefetch_capture is None:
+            try:
+                self.ledger.cpu_seconds[category] += seconds
+            except KeyError:
+                raise _unknown_category(category) from None
+            self.clock.now += seconds
             return
-        if self._prefetch_capture is not None:
-            self._prefetch_capture[0] += seconds
-            self.ledger.add_cpu(CAT_PREFETCH, seconds)
-            return
-        self.clock.advance(seconds)
-        self.ledger.add_cpu(category, seconds)
+        if category not in self.ledger.cpu_seconds:
+            raise _unknown_category(category)
+        self._prefetch_capture[0] += seconds
+        self.ledger.add_cpu(CAT_PREFETCH, seconds)
 
     def charge_read(self, n_bytes: int, n_requests: int = 1) -> None:
         """Charge a device read: clock advances by the device time."""
@@ -156,7 +167,8 @@ class SimEnv:
         self.ledger.bump("net_requests", n_requests)
 
     def bump(self, counter: str, delta: int = 1) -> None:
-        self.ledger.bump(counter, delta)
+        counters = self.ledger.counters
+        counters[counter] = counters.get(counter, 0) + delta
 
     def fork(self) -> "SimEnv":
         """A fresh env sharing cost models but with its own clock/ledger.

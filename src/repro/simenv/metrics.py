@@ -46,6 +46,10 @@ CPU_CATEGORIES = (
 _KNOWN_CATEGORIES = frozenset(CPU_CATEGORIES)
 
 
+def _unknown_category(category: str) -> ValueError:
+    return ValueError(f"unknown CPU category {category!r}; one of {CPU_CATEGORIES}")
+
+
 @dataclass
 class MetricsSnapshot:
     """An immutable copy of a ledger's totals, used for reporting."""
@@ -110,9 +114,7 @@ class MetricsLedger:
         if seconds < 0:
             raise ValueError(f"negative CPU charge: {seconds}")
         if category not in _KNOWN_CATEGORIES:
-            raise ValueError(
-                f"unknown CPU category {category!r}; one of {CPU_CATEGORIES}"
-            )
+            raise _unknown_category(category)
         self.cpu_seconds[category] = self.cpu_seconds.get(category, 0.0) + seconds
 
     def add_read(self, n_bytes: int, seconds: float, n_requests: int = 1) -> None:

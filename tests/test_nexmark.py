@@ -73,6 +73,24 @@ class TestSerde:
         with pytest.raises(ValueError):
             NexmarkSerde().deserialize(bytes([250]) + b"junk")
 
+    @pytest.mark.parametrize("obj,expected_hex", [
+        (Person(1, 2), "00" "0100000000000000" "0200000000000000"),
+        (Auction(3, 4), "01" "0300000000000000" "0400000000000000"),
+        (Bid(5, 6, 7, b"xy"),
+         "02" "0500000000000000" "0600000000000000" "0700000000000000" "7879"),
+        ("abc", "03" "80059507000000000000008c03616263942e"),
+        (12345, "04" "3930000000000000"),
+        (("P", Person(8, 9)), "05" "0800000000000000" "0900000000000000"),
+        (("A", Auction(10, 11)), "06" "0a00000000000000" "0b00000000000000"),
+    ])
+    def test_pinned_encoding_per_tag(self, obj, expected_hex):
+        # Round trips and sizes cannot see a swapped tag prefix or a
+        # reordered field; the exact bytes can.
+        serde = NexmarkSerde()
+        data = serde.serialize(obj)
+        assert data.hex() == expected_hex
+        assert serde.deserialize(data) == obj
+
 
 class TestGenerator:
     CONFIG = GeneratorConfig(events_per_second=50.0, duration=400.0, seed=11)
