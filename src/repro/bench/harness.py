@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.bench.profiles import ScaleProfile
-from repro.errors import StoreOOMError, UnsupportedOperationError
+from repro.errors import StoreOOMError
 from repro.nexmark.queries import build_query
 from repro.rescale import RescaleEvent, ScheduledRescale
 from repro.simenv import MetricsSnapshot
@@ -133,7 +133,7 @@ def run_query(
     rescale_mode: str = "live",
     transfer_chunk_bytes: int | None = None,
     transfer_queue_limit: int | None = None,
-    incremental_checkpoints: bool | str = True,
+    incremental_checkpoints: bool = True,
     full_snapshot_interval: int | None = None,
     retained_epochs: int | None = None,
     seed_rescale_from_checkpoint: bool = True,
@@ -163,8 +163,7 @@ def run_query(
     restores and replays through injected crashes.
 
     ``incremental_checkpoints`` selects per-key-group sharded epochs
-    (True, the default; ``"require"`` fails fast on backends without the
-    capability; False forces full per-epoch snapshots),
+    (True, the default) or whole-store snapshots every epoch (False),
     ``full_snapshot_interval`` bounds the shard-chain length,
     ``retained_epochs`` enables chain-aware checkpoint GC, and
     ``seed_rescale_from_checkpoint`` lets live rescales seed clean moved
@@ -242,12 +241,6 @@ def run_query(
             result = env.execute(**run_kwargs)
     except StoreOOMError:
         record.failure = "oom"
-        return record
-    except UnsupportedOperationError as exc:
-        # A cell asked for an optional capability (snapshotting,
-        # rescaling) its backend does not advertise: a reportable
-        # failure, not a crash of the whole sweep.
-        record.failure = f"unsupported:{exc.operation}"
         return record
     record.input_records = result.input_records
     record.job_seconds = result.job_seconds

@@ -1,6 +1,6 @@
 """Changelog replication and hot-standby failover.
 
-Every CAP_INCREMENTAL backend funnels its semantic mutations through the
+Every state backend funnels its semantic mutations through the
 :class:`repro.kvstores.api.KeyGroupDirtyTracker`; when a
 :class:`ChangelogWriter` is attached there, the same mutations that mark
 a key-group dirty also append an op record to a per-key-group, per-epoch
@@ -18,17 +18,12 @@ regenerates every later output identically.
 """
 
 from repro.changelog.log import ChangelogWriter, pack_segment, unpack_segment
-from repro.changelog.standby import (
-    ChangelogReplication,
-    StandbyReplica,
-    StandbySeedSource,
-)
+from repro.changelog.standby import ChangelogReplication, StandbyReplica
 
 __all__ = [
     "ChangelogWriter",
     "ChangelogReplication",
     "StandbyReplica",
-    "StandbySeedSource",
     "pack_segment",
     "unpack_segment",
 ]

@@ -30,8 +30,6 @@ from repro.changelog.log import ChangelogWriter, pack_segment, unpack_segment
 from repro.cluster.topology import charge_link
 from repro.errors import DiskIOError, SnapshotCorruptError
 from repro.kvstores.api import (
-    CAP_INCREMENTAL,
-    DEFAULT_MAX_KEY_GROUPS,
     KIND_AGG,
     KIND_JOIN_LEFT,
     KIND_JOIN_RIGHT,
@@ -343,25 +341,16 @@ class ChangelogReplication:
         live_writers: dict[str, ChangelogWriter] = {}
         live_backends: dict[str, Any] = {}
         live_owner: dict[str, int] = {}
-        for node in executor._stateful_nodes:  # noqa: SLF001 - engine back-half
-            for idx, instance in enumerate(executor._instances[node.node_id]):  # noqa: SLF001
-                backend = instance.operator.backend
-                if backend is None or CAP_INCREMENTAL not in backend.capabilities:
-                    continue
-                attach = getattr(backend, "attach_changelog", None)
-                if attach is None:
-                    continue
-                key = f"op{node.node_id}/p{idx}"
-                groupspace = int(
-                    getattr(backend, "checkpoint_key_groups", DEFAULT_MAX_KEY_GROUPS)
-                )
-                writer = self._writers.get(key)
-                if writer is None or writer.groupspace != groupspace:
-                    writer = ChangelogWriter(key, groupspace)
-                attach(writer)
-                live_writers[key] = writer
-                live_backends[key] = backend
-                live_owner[key] = executor.cluster_node_of(idx) or 0
+        for _node, idx, instance, key in executor.stateful_instances():
+            backend = instance.operator.backend
+            groupspace = backend.checkpoint_key_groups
+            writer = self._writers.get(key)
+            if writer is None or writer.groupspace != groupspace:
+                writer = ChangelogWriter(key, groupspace)
+            backend.attach_changelog(writer)
+            live_writers[key] = writer
+            live_backends[key] = backend
+            live_owner[key] = executor.cluster_node_of(idx) or 0
         self._writers = live_writers
         self._backends = live_backends
         self._owner = live_owner
@@ -373,7 +362,7 @@ class ChangelogReplication:
                 or standby.groupspace != live_writers[key].groupspace
             ):
                 del self._standbys[key]
-        executor._replication = self  # noqa: SLF001 - promote-mode rescale seed
+        executor.replication = self  # seeds promote-mode rescales
 
     def seal_epoch(self, epoch: int, executor: "Executor") -> None:
         """Ship this epoch's changelog to every standby (epoch cut).
@@ -394,7 +383,7 @@ class ChangelogReplication:
         # The cut's place on the processing timeline: readiness stamps
         # are cut time plus shipping duration, in the same clock domain
         # failure times are measured in (see StandbyReplica.ready_by).
-        cut_stamp = self._cut_stamp(executor)
+        cut_stamp = executor.busiest_clock(default=self.env.now)
         for key in sorted(self._writers):
             writer = self._writers[key]
             owner = self._owner[key]
@@ -447,16 +436,6 @@ class ChangelogReplication:
                 standby.invalidate(f"epoch {epoch} segment lost: {exc}")
             except SnapshotCorruptError as exc:
                 standby.invalidate(str(exc))
-
-    def _cut_stamp(self, executor: "Executor") -> float:
-        """The epoch cut's position on the processing timeline (the
-        busiest instance's clock — the domain failure times live in)."""
-        times = [
-            instance.env.clock.now
-            for node in executor._stateful_nodes  # noqa: SLF001
-            for instance in executor._instances[node.node_id]  # noqa: SLF001
-        ]
-        return max(times, default=self.env.now)
 
     def _ship_base(
         self,
@@ -523,9 +502,6 @@ class ChangelogReplication:
         self._owner.clear()
         self._standbys.clear()
 
-    def standby_for(self, key: str) -> StandbyReplica | None:
-        return self._standbys.get(key)
-
     def promotable_epochs(self, key: str, at_time: float) -> frozenset[int]:
         """Epochs at which ``key``'s replica could be promoted, given
         the failure happened at ``at_time``."""
@@ -549,53 +525,30 @@ class ChangelogReplication:
         self.promotions += 1
         return entries, tail
 
-    def seed_source(self) -> "StandbySeedSource":
-        """A read-side view for rescale-by-replica-promotion."""
-        return StandbySeedSource(self)
+    def group_entries(
+        self, key: str, group: int, max_key_groups: int,
+        destination_node: int | None = None,
+    ) -> list[ExportedEntry] | None:
+        """One clean key-group's state from ``key``'s warm replica, for
+        seeding a promote-mode rescale; None when no bootstrapped replica
+        at this group-space size exists.
 
-
-class StandbySeedSource:
-    """Seed-source protocol over warm replicas (rescale ``promote`` mode).
-
-    Duck-typed like :class:`repro.recovery.CheckpointSeedSource`: a moved
-    key-group that is *clean* since the last epoch cut can land at its
-    destination from the warm replica (plus that group's pending tail)
-    instead of being streamed live from the owner — and the bytes travel
-    standby → destination, off the owner's hot path.
-    """
-
-    def __init__(self, replication: ChangelogReplication) -> None:
-        self._rep = replication
-
-    def shard_ref(self, key: str, group: int, max_key_groups: int):
-        standby = self._rep.standby_for(key)
+        Reads the replica (folding the group's pending tail), then pays
+        the priced link from the standby to ``destination_node`` — the
+        bytes travel off the owner's hot path.
+        """
+        standby = self._standbys.get(key)
         if (
             standby is None
             or not standby.bootstrapped
             or standby.groupspace != max_key_groups
         ):
             return None
-        return ("standby", key, group)
-
-    def has_state(self, key: str) -> bool:
-        standby = self._rep.standby_for(key)
-        return standby is not None and standby.bootstrapped
-
-    def read_entries(self, ref) -> list[ExportedEntry]:
-        _tag, key, group = ref
-        standby = self._rep.standby_for(key)
-        if standby is None or not standby.bootstrapped:
-            raise SnapshotCorruptError(f"standby for {key} vanished mid-rescale")
-        return standby.read_group(group, self._rep.env)
-
-    def charge_delivery(self, ref, destination_node: int | None, n_bytes: int) -> None:
-        """Seeded bytes travel standby → destination over the network."""
-        _tag, key, group = ref
-        standby = self._rep.standby_for(key)
-        if standby is None or destination_node is None:
-            return
-        charge_link(
-            self._rep.env, self._rep.cluster.network, standby.standby_node,
-            destination_node, n_bytes,
-            f"{NET_SEGMENT_PREFIX}seed/{key}/g{group:05d}", self._rep.faults,
-        )
+        entries = standby.read_group(group, self.env)
+        if destination_node is not None:
+            charge_link(
+                self.env, self.cluster.network, standby.standby_node,
+                destination_node, sum(e.payload_bytes for e in entries),
+                f"{NET_SEGMENT_PREFIX}seed/{key}/g{group:05d}", self.faults,
+            )
+        return entries

@@ -24,9 +24,6 @@ from repro.core.patterns import StorePattern
 from repro.core.rmw import RmwStore
 from repro.errors import PatternError
 from repro.kvstores.api import (
-    CAP_INCREMENTAL,
-    CAP_RESCALE,
-    CAP_SNAPSHOT,
     KIND_AGG,
     KIND_LIST,
     KeyGroupDirtyTracker,
@@ -42,8 +39,6 @@ from repro.storage.filesystem import SimFileSystem
 
 class FlowKVComposite(WindowStateBackend):
     """``m`` pattern-specialized store instances behind one backend."""
-
-    capabilities = frozenset({CAP_SNAPSHOT, CAP_RESCALE, CAP_INCREMENTAL})
 
     def __init__(
         self,

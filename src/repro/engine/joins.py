@@ -31,9 +31,6 @@ from typing import Any
 
 from repro.errors import StoreClosedError
 from repro.kvstores.api import (
-    CAP_INCREMENTAL,
-    CAP_RESCALE,
-    CAP_SNAPSHOT,
     DEFAULT_MAX_KEY_GROUPS,
     KIND_JOIN_LEFT,
     KIND_JOIN_RIGHT,
@@ -105,11 +102,11 @@ def _estimate_bytes(value: Any) -> int:
 class JoinStateBackend:
     """Keyed interval-join buffer state with the backend protocol surface.
 
-    Holds both sides' per-key :class:`_SideBuffer`\\ s and implements the
-    same optional-capability API as the window-state backends, so the
-    rescale executors (stop-the-world and live), the sharded checkpointer
-    and the recovery restore path move join state through the exact code
-    paths window state takes:
+    Holds both sides' per-key :class:`_SideBuffer`\\ s and implements every
+    state-movement member of :class:`~repro.kvstores.api.WindowStateBackend`,
+    so the rescale executors (stop-the-world and live), the sharded
+    checkpointer and the recovery restore path move join state through
+    the exact code paths window state takes:
 
     * ``export_state`` / ``import_state`` — destructive key-group
       migration, per-entry serialization charged to ``migration``;
@@ -122,8 +119,6 @@ class JoinStateBackend:
       delta epoch re-shards exactly the groups whose buffers changed and
       an expired-empty group's stale shard ref is dropped.
     """
-
-    capabilities = frozenset({CAP_SNAPSHOT, CAP_RESCALE, CAP_INCREMENTAL})
 
     def __init__(self, env: SimEnv, max_key_groups: int = DEFAULT_MAX_KEY_GROUPS) -> None:
         self._env = env

@@ -25,6 +25,7 @@ backend), :class:`SimTimeoutError` (simulated-time budget exceeded) and
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -143,13 +144,102 @@ class Executor:
         # dead owner's instances from the peer node).
         self.node_override: dict[int, int] = {}
         # Set by ChangelogReplication.bind(); feeds promote-mode rescales.
-        self._replication: Any = None
+        self.replication: Any = None
         self._build_instances()
 
     @property
     def migration_active(self) -> bool:
         """Whether a live state migration is currently in flight."""
         return self._live is not None and not self._live.done
+
+    # ------------------------------------------------------------------
+    # back-half API: what checkpoint, recovery, rescale and changelog
+    # replication use to move state in and out of a running job.
+    # ------------------------------------------------------------------
+    @property
+    def plan(self) -> StreamEnvironment:
+        return self._plan
+
+    @property
+    def stateful_nodes(self) -> list[LogicalNode]:
+        """The window and interval-join nodes, in plan order."""
+        return self._stateful_nodes
+
+    def instances(self, node: LogicalNode) -> list[PhysicalInstance]:
+        """The live (mutable) instance list of one stateful node."""
+        return self._instances[node.node_id]
+
+    def stateful_instances(
+        self,
+    ) -> Iterator[tuple[LogicalNode, int, PhysicalInstance, str]]:
+        """Every stateful instance as ``(node, index, instance, key)``,
+        node by node in plan order; ``key`` (``"op{node}/p{index}"``)
+        names the instance in checkpoints and changelog replication."""
+        for node in self._stateful_nodes:
+            for index, instance in enumerate(self._instances[node.node_id]):
+                yield node, index, instance, f"op{node.node_id}/p{index}"
+
+    def busiest_clock(self, default: float = 0.0) -> float:
+        """The furthest-advanced instance clock (``default`` with none)."""
+        return max(
+            (inst.env.clock.now for insts in self._instances.values() for inst in insts),
+            default=default,
+        )
+
+    def retire_instances(self, parallelism: int) -> None:
+        """Close every instance at index ``parallelism`` or above, keeping
+        its ledger and results for the job result (a committed scale-down)."""
+        for node in self._stateful_nodes:
+            instances = self._instances[node.node_id]
+            for retired in instances[parallelism:]:
+                retired.operator.backend.close()
+                self._retired.setdefault(node.node_id, []).append(
+                    (retired.env.ledger.snapshot(), retired.env.clock.now,
+                     retired.operator.results_emitted)
+                )
+            del instances[parallelism:]
+
+    def replay(
+        self,
+        node: LogicalNode,
+        index: int,
+        group: int,
+        records: list[StreamRecord],
+        arrival: float,
+    ) -> None:
+        """Process records a live migration buffered for key-group
+        ``group`` at instance ``index`` of ``node``, one work unit each,
+        with the same load accounting as routed delivery."""
+        instance = self._instances[node.node_id][index]
+        for record in records:
+            service = self._run_unit(
+                node, instance, arrival,
+                lambda r=record: instance.operator.process(r),
+            )
+            self.load_tracker.record(
+                group, index, instance.cluster_node,
+                1, len(record.key) + record_bytes(record.value), service,
+            )
+
+    def job_outputs(self) -> dict[str, Any]:
+        """The job-level state a checkpoint carries besides operator
+        state: sink outputs, latencies and rescale history."""
+        return {
+            "sinks": self._sinks,
+            "latencies": self._latencies,
+            "rescales": self._rescales,
+        }
+
+    def set_job_outputs(
+        self,
+        sinks: dict[str, list[Any]],
+        latencies: list[float],
+        rescales: list[RescaleEvent],
+    ) -> None:
+        """Reinstate checkpointed :meth:`job_outputs` (copied)."""
+        self._sinks = {name: list(vals) for name, vals in sinks.items()}
+        self._latencies = list(latencies)
+        self._rescales = list(rescales)
 
     def cluster_node_of(self, index: int) -> int | None:
         """Hosting node id of instance ``index`` (None without a cluster).
@@ -164,7 +254,7 @@ class Executor:
         override = self.node_override.get(index)
         return override if override is not None else cluster.place(index)
 
-    def _new_instance(self, node: LogicalNode, index: int) -> PhysicalInstance:
+    def new_instance(self, node: LogicalNode, index: int) -> PhysicalInstance:
         """Deploy one physical instance of a stateful node (fresh state)."""
         factory = self._plan.backend_factory
         env = SimEnv(cpu=self._plan.cpu, ssd=self._plan.ssd, faults=self._plan.faults)
@@ -207,7 +297,7 @@ class Executor:
             raise PlanError("StreamEnvironment has no backend_factory")
         for node in self._stateful_nodes:
             self._instances[node.node_id] = [
-                self._new_instance(node, i) for i in range(self.current_parallelism)
+                self.new_instance(node, i) for i in range(self.current_parallelism)
             ]
 
     # ------------------------------------------------------------------
@@ -284,7 +374,7 @@ class Executor:
         if records is not None:
             merged = iter(records[start_count:])
         else:
-            merged = self._merged_sources()
+            merged = self.merged_sources()
         count = start_count
         max_ts = start_max_ts
         arrival = 0.0
@@ -315,7 +405,7 @@ class Executor:
             for source_node, value, timestamp in merged:
                 if faults is not None:
                     faults.crash_point(
-                        CRASH_RUNTIME_RECORD, now_fn=self._busiest_clock
+                        CRASH_RUNTIME_RECORD, now_fn=self.busiest_clock
                     )
                 if arrival_rate:
                     arrival = count / arrival_rate
@@ -400,7 +490,7 @@ class Executor:
     ) -> None:
         self._broadcast_watermark(max_ts - watermark_delay, arrival)
         if faults is not None:
-            faults.crash_point(CRASH_RUNTIME_WATERMARK, now_fn=self._busiest_clock)
+            faults.crash_point(CRASH_RUNTIME_WATERMARK, now_fn=self.busiest_clock)
         self._check_limits(sim_timeout, arrival_rate, arrival, overload_backlog)
         # Policy and checkpoints wait for an in-flight migration to
         # settle: decide() is not even consulted, so scheduled thresholds
@@ -456,7 +546,7 @@ class Executor:
                 self, new_parallelism, arrival=arrival, at_record=at_record,
                 chunk_bytes=self._transfer_chunk_bytes,
                 queue_limit=self._transfer_queue_limit,
-                seed_source=self._live_seed_source(),
+                seed=self._live_seed(),
             )
             self._rescales.append(live.event)
             if not live.done:
@@ -487,8 +577,8 @@ class Executor:
             self, self.current_parallelism, arrival=arrival, at_record=at_record,
             chunk_bytes=self._transfer_chunk_bytes,
             queue_limit=self._transfer_queue_limit,
-            seed_source=(
-                self._live_seed_source()
+            seed=(
+                self._live_seed()
                 if self._rescale_mode in ("live", "promote")
                 else None
             ),
@@ -501,20 +591,15 @@ class Executor:
             self._live = live
         return live.event
 
-    def _live_seed_source(self) -> Any:
-        """Where a live migration may seed clean moved groups from."""
+    def _live_seed(self) -> Any:
+        """Where a live migration may seed clean moved groups from: an
+        object with ``group_entries`` (or None to stream every group)."""
         if self._rescale_mode == "promote":
             # Rescale-by-replica-promotion: clean moved groups land
             # from the peer's warm standby copy instead of the
             # checkpoint store or the owner's hot path.
-            if self._replication is not None:
-                return self._replication.seed_source()
-            return None
-        if self._seed_rescale and self._checkpointer is not None:
-            seed_fn = getattr(self._checkpointer, "seed_source", None)
-            if seed_fn is not None:
-                return seed_fn()
-        return None
+            return self.replication
+        return self._checkpointer if self._seed_rescale else None
 
     def rebuild_for_restore(self, parallelism: int) -> None:
         """Redeploy all stateful nodes at ``parallelism`` with fresh state.
@@ -529,17 +614,11 @@ class Executor:
                 if backend is not None:
                     backend.close()
             self._instances[node.node_id] = [
-                self._new_instance(node, i) for i in range(parallelism)
+                self.new_instance(node, i) for i in range(parallelism)
             ]
         self.current_parallelism = parallelism
         self.group_owner = contiguous_owner_table(
             self._plan.max_key_groups, parallelism
-        )
-
-    def _busiest_clock(self) -> float:
-        return max(
-            (inst.env.clock.now for insts in self._instances.values() for inst in insts),
-            default=0.0,
         )
 
     def _busy_sum(self) -> float:
@@ -591,7 +670,7 @@ class Executor:
                     per_index[index] = inst.env.clock.now
         return [max(0.0, value - span) for value in per_index]
 
-    def _merged_sources(self):
+    def merged_sources(self):
         """Merge all sources in timestamp order."""
         streams = []
         for idx, (node, records) in enumerate(self._plan.sources()):
@@ -871,10 +950,7 @@ class Executor:
         overload_backlog: float,
     ) -> None:
         if sim_timeout is not None:
-            busiest = max(
-                (inst.env.clock.now for insts in self._instances.values() for inst in insts),
-                default=0.0,
-            )
+            busiest = self.busiest_clock()
             if busiest > sim_timeout:
                 raise SimTimeoutError(f"busy time {busiest:.0f}s exceeds {sim_timeout:.0f}s")
         if arrival_rate:

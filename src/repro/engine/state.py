@@ -16,9 +16,6 @@ from typing import Any
 
 from repro.core.patterns import StorePattern, WindowKind, determine_pattern
 from repro.kvstores.api import (
-    CAP_INCREMENTAL,
-    CAP_RESCALE,
-    CAP_SNAPSHOT,
     KIND_AGG,
     KIND_LIST,
     ExportedEntry,
@@ -110,16 +107,6 @@ class GenericKVBackend(WindowStateBackend):
     @property
     def store(self) -> KVStore:
         return self._store
-
-    @property
-    def capabilities(self) -> frozenset[str]:
-        # Rescaling and dirty tracking work over any KV store (the glue
-        # sees every mutation and can scan_prefix + delete); snapshotting
-        # is delegated, so only advertise it when the wrapped store can
-        # actually take one.
-        return frozenset({CAP_RESCALE, CAP_INCREMENTAL}) | (
-            self._store.capabilities & {CAP_SNAPSHOT}
-        )
 
     @property
     def checkpoint_key_groups(self) -> int:

@@ -38,42 +38,6 @@ class SnapshotCorruptError(StoreError):
     """
 
 
-class UnsupportedOperationError(StoreError):
-    """An optional store capability was invoked on a backend lacking it.
-
-    Backends advertise their optional features through the
-    ``capabilities`` frozenset (:mod:`repro.kvstores.api`); callers that
-    need a capability — checkpointing needs ``snapshot``, rescaling
-    needs ``rescale`` — check it *up front* and raise this with an
-    actionable message instead of tripping over a bare
-    ``NotImplementedError`` halfway through a migration.
-    """
-
-    def __init__(
-        self,
-        backend: str,
-        capability: str,
-        operation: str = "",
-        advertised=None,
-    ) -> None:
-        wanted = operation or capability
-        if advertised is None:
-            have = ""
-        elif advertised:
-            have = f"; it advertises: {', '.join(sorted(advertised))}"
-        else:
-            have = "; it advertises no optional capabilities"
-        super().__init__(
-            f"{backend} does not support {wanted!r}: the backend does not "
-            f"advertise the {capability!r} capability{have} (see "
-            f"WindowStateBackend.capabilities)"
-        )
-        self.backend = backend
-        self.capability = capability
-        self.operation = wanted
-        self.advertised = frozenset(advertised) if advertised is not None else None
-
-
 class UnknownBatchOpError(StoreError, ValueError):
     """A committed write batch carried an op other than put/append/delete.
 

@@ -7,7 +7,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from repro.errors import StoreClosedError, UnknownBatchOpError
-from repro.kvstores.api import CAP_SNAPSHOT, KVStore
+from repro.kvstores.api import KVStore
 from repro.serde.codec import decode_bytes, encode_bytes
 from repro.simenv import (
     CAT_COMPACTION,
@@ -63,7 +63,6 @@ class FasterStore(KVStore):
     single-threaded SPE worker (§6.3).
     """
 
-    capabilities = frozenset({CAP_SNAPSHOT})
     # Appends are read-copy-update: they read the old value list first,
     # so write-key hints let the prefetcher hide that read's I/O.
     append_reads = True

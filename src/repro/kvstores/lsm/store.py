@@ -7,7 +7,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from repro.errors import StoreClosedError, UnknownBatchOpError
-from repro.kvstores.api import CAP_SNAPSHOT, KVStore
+from repro.kvstores.api import KVStore
 from repro.kvstores.lsm.blockcache import BlockCache
 from repro.kvstores.lsm.compaction import collapse_versions, merge_sorted_entries
 from repro.kvstores.lsm.format import (
@@ -65,8 +65,6 @@ class LsmStore(KVStore):
     memtable -> L0 (newest first) -> L1..Ln with bloom filters and a block
     cache on the way.
     """
-
-    capabilities = frozenset({CAP_SNAPSHOT})
 
     def __init__(
         self,

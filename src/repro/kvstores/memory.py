@@ -22,9 +22,6 @@ from typing import Any
 
 from repro.errors import StoreClosedError, StoreOOMError
 from repro.kvstores.api import (
-    CAP_INCREMENTAL,
-    CAP_RESCALE,
-    CAP_SNAPSHOT,
     KIND_AGG,
     KIND_LIST,
     ExportedEntry,
@@ -79,8 +76,6 @@ class HeapWindowBackend(WindowStateBackend):
     namespace, an inner map per key.  List state and aggregate state are
     kept in separate namespaces like Flink's ListState/ValueState.
     """
-
-    capabilities = frozenset({CAP_SNAPSHOT, CAP_RESCALE, CAP_INCREMENTAL})
 
     def __init__(
         self,

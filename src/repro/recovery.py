@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import pickle
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
@@ -43,14 +44,7 @@ from repro.errors import (
     SnapshotCorruptError,
 )
 from repro.faults import CRASH_SNAPSHOT_COMMIT, CRASH_SNAPSHOT_FILE, with_retries
-from repro.kvstores.api import (
-    CAP_INCREMENTAL,
-    CAP_SNAPSHOT,
-    DEFAULT_MAX_KEY_GROUPS,
-    StateExport,
-    key_group_of,
-    require_capability,
-)
+from repro.kvstores.api import ExportedEntry, StateExport, key_group_of
 from repro.simenv import CAT_RECOVERY, MetricsLedger, SimEnv
 from repro.snapshot import (
     ShardRef,
@@ -237,37 +231,6 @@ class CheckpointStat:
     sim_seconds: float
 
 
-class CheckpointSeedSource:
-    """Read-side view of the latest committed epoch's shard maps.
-
-    Handed to :class:`repro.rescale.live.LiveMigration` so a moved
-    key-group whose backend reports it *clean* (unchanged since the
-    checkpoint cut) can be seeded at the destination from the
-    checkpoint's shard — checkpoint-read I/O instead of live-transfer
-    bytes.
-    """
-
-    def __init__(self, checkpointer: "Checkpointer") -> None:
-        self._cp = checkpointer
-
-    def shard_ref(self, key: str, group: int, max_key_groups: int) -> ShardRef | None:
-        """The latest committed shard of ``(instance key, group)``, or
-        None when absent or sharded at a different group-space size."""
-        if self._cp._shard_groupspace.get(key) != max_key_groups:  # noqa: SLF001
-            return None
-        return self._cp._shard_maps.get(key, {}).get(group)  # noqa: SLF001
-
-    def has_state(self, key: str) -> bool:
-        """Whether the latest epoch sharded this instance at all."""
-        return key in self._cp._shard_maps  # noqa: SLF001
-
-    def read_entries(self, ref: ShardRef) -> list:
-        """Read + CRC-verify one shard and decode its entries (charged
-        to the checkpoint-storage environment as recovery I/O)."""
-        data = self._cp.storage.read_ref(ref.path, ref.length, ref.crc)
-        return unpack_group_shard(self._cp.storage.env, data)
-
-
 class Checkpointer:
     """Takes periodic consistent cuts of a running job.
 
@@ -277,16 +240,13 @@ class Checkpointer:
     deterministic record-count grid, so an uninterrupted run and a
     replayed run checkpoint at the identical cut points.
 
-    With ``incremental`` (the default), backends advertising
-    :data:`CAP_INCREMENTAL` are checkpointed as per-key-group *shards*:
-    each epoch writes only the groups dirtied since the previous epoch
-    and references the rest from earlier epochs by (epoch, path, CRC);
-    a full cut of every group is taken every ``full_snapshot_interval``
-    epochs to bound chain length.  Backends without the capability —
-    and every backend when ``incremental`` is False — degrade to the
-    legacy whole-store snapshot per epoch.  ``incremental="require"``
-    instead fails fast with :class:`UnsupportedOperationError` on the
-    first backend that cannot do incremental cuts.
+    With ``incremental`` (the default), every backend is checkpointed
+    as per-key-group *shards*: each epoch writes only the groups dirtied
+    since the previous epoch and references the rest from earlier epochs
+    by (epoch, path, CRC); a full cut of every group is taken every
+    ``full_snapshot_interval`` epochs to bound chain length.  With
+    ``incremental=False`` every epoch is a whole-store snapshot per
+    backend instead.
 
     ``retained_epochs`` enables chain-aware garbage collection: after
     each commit, manifests beyond the newest N are deleted and any
@@ -299,10 +259,12 @@ class Checkpointer:
         self,
         storage: CheckpointStorage,
         interval: int,
-        incremental: bool | str = True,
+        incremental: bool = True,
         full_snapshot_interval: int = 4,
         retained_epochs: int | None = None,
     ) -> None:
+        if not isinstance(incremental, bool):
+            raise PlanError(f"incremental must be True or False: {incremental!r}")
         if full_snapshot_interval < 1:
             raise PlanError(
                 f"full_snapshot_interval must be >= 1: {full_snapshot_interval}"
@@ -358,9 +320,25 @@ class Checkpointer:
             self._shard_groupspace[key] = desc["max_key_groups"]
             self._shard_full_epoch[key] = desc["full_epoch"]
 
-    def seed_source(self) -> CheckpointSeedSource:
-        """A read-side view for checkpoint-seeded live rescales."""
-        return CheckpointSeedSource(self)
+    def group_entries(
+        self, key: str, group: int, max_key_groups: int,
+        destination_node: int | None = None,
+    ) -> list[ExportedEntry] | None:
+        """One clean key-group's state from the latest committed epoch,
+        for seeding a live rescale; None when instance ``key`` was not
+        sharded at this group-space size or the group has no shard.
+
+        One CRC-verified shard read, charged to the checkpoint storage
+        as recovery I/O (``destination_node`` is not needed: the shard
+        read is the delivery).
+        """
+        if self._shard_groupspace.get(key) != max_key_groups:
+            return None
+        ref = self._shard_maps.get(key, {}).get(group)
+        if ref is None:
+            return None
+        data = self.storage.read_ref(ref.path, ref.length, ref.crc)
+        return unpack_group_shard(self.storage.env, data)
 
     def maybe_checkpoint(
         self, executor: Executor, count: int, max_ts: float, rescale_policy: Any
@@ -401,35 +379,30 @@ class Checkpointer:
         # (and the backends' dirty sets) intact.
         committed: list[tuple[str, Any, dict[int, ShardRef], int, int]] = []
         operators: dict[str, dict[str, Any]] = {}
-        for node in executor._stateful_nodes:  # noqa: SLF001 - engine back-half
-            for idx, instance in enumerate(executor._instances[node.node_id]):  # noqa: SLF001
-                key = f"op{node.node_id}/p{idx}"
-                backend = instance.operator.backend
-                # Cluster runs: the instance's shards upload from its
-                # hosting node (the replica-placement origin).
-                node_of = getattr(executor, "cluster_node_of", None)
-                origin = None if node_of is None else node_of(idx)
-                iput = (
-                    put if origin is None
-                    else lambda path, data, _o=origin: put(path, data, _o)
+        for _node, idx, instance, key in executor.stateful_instances():
+            backend = instance.operator.backend
+            # Cluster runs: the instance's shards upload from its
+            # hosting node (the replica-placement origin).
+            origin = executor.cluster_node_of(idx)
+            iput = (
+                put if origin is None
+                else lambda path, data, _o=origin: put(path, data, _o)
+            )
+            if self.incremental:
+                written, reused, full = self._checkpoint_sharded(
+                    epoch, key, backend, iput, stores, sharded, committed
                 )
-                if self.incremental == "require":
-                    require_capability(backend, CAP_INCREMENTAL, "incremental_checkpoint")
-                if self.incremental and CAP_INCREMENTAL in backend.capabilities:
-                    written, reused, full = self._checkpoint_sharded(
-                        epoch, key, backend, iput, stores, sharded, committed
-                    )
-                    shards_written += written
-                    shards_reused += reused
-                    all_full = all_full and full
-                else:
-                    snap = backend.snapshot()
-                    stores[key] = snap.kind
-                    base = f"{_epoch_dir(epoch)}/{key}"
-                    iput(f"{base}/meta", snap.meta)
-                    for name, data in snap.files.items():
-                        iput(f"{base}/files/{name}", data)
-                operators[key] = instance.operator.checkpoint_state()
+                shards_written += written
+                shards_reused += reused
+                all_full = all_full and full
+            else:
+                snap = backend.snapshot()
+                stores[key] = snap.kind
+                base = f"{_epoch_dir(epoch)}/{key}"
+                iput(f"{base}/meta", snap.meta)
+                for name, data in snap.files.items():
+                    iput(f"{base}/files/{name}", data)
+            operators[key] = instance.operator.checkpoint_state()
         job_meta = pickle.dumps(
             {
                 "at_record": count,
@@ -439,9 +412,7 @@ class Checkpointer:
                 # aborted live rescale; a restore must reproduce it
                 # exactly or replayed records land on the wrong owners.
                 "group_owner": list(executor.group_owner),
-                "sinks": executor._sinks,  # noqa: SLF001
-                "latencies": executor._latencies,  # noqa: SLF001
-                "rescales": executor._rescales,  # noqa: SLF001
+                **executor.job_outputs(),  # sinks, latencies, rescales
                 "operators": operators,
                 "policy": rescale_policy,
             },
@@ -499,9 +470,7 @@ class Checkpointer:
 
         Returns ``(shards_written, shards_reused, took_full_cut)``.
         """
-        groupspace = int(
-            getattr(backend, "checkpoint_key_groups", DEFAULT_MAX_KEY_GROUPS)
-        )
+        groupspace = backend.checkpoint_key_groups
         prev_map = self._shard_maps.get(key)
         last_full = self._shard_full_epoch.get(key)
         take_full = (
@@ -616,7 +585,7 @@ class RecoveryManager:
         checkpoint_interval: int,
         storage: CheckpointStorage | None = None,
         max_restarts: int = 8,
-        incremental: bool | str = True,
+        incremental: bool = True,
         full_snapshot_interval: int = 4,
         retained_epochs: int | None = None,
         mode: str = "restore",
@@ -666,18 +635,9 @@ class RecoveryManager:
         """Execute the plan with checkpointing and automatic recovery."""
         self.plan.validate()
         executor = Executor(self.plan)
-        # Fail fast, before any records run: checkpointing needs every
-        # stateful backend to either shard incrementally or snapshot whole.
-        for node in executor._stateful_nodes:  # noqa: SLF001
-            backend = executor._instances[node.node_id][0].operator.backend  # noqa: SLF001
-            if backend is None:
-                continue
-            if self.checkpointer.incremental and CAP_INCREMENTAL in backend.capabilities:
-                continue
-            require_capability(backend, CAP_SNAPSHOT, "snapshot")
         # Materialize the sources ONCE: replays must see the identical
         # record sequence even if the plan's sources were generators.
-        records = list(executor._merged_sources())  # noqa: SLF001
+        records = list(executor.merged_sources())
         pristine_policy = pickle.dumps(rescale_policy, protocol=pickle.HIGHEST_PROTOCOL)
         policy = rescale_policy
         at_record = 0
@@ -727,7 +687,11 @@ class RecoveryManager:
                 restarts += 1
                 if restarts > self.max_restarts:
                     raise
-                crash_time = self._crash_time(executor)
+                # The failure time, for the standbys' ``ready_at`` stamps:
+                # independent clock domains, but a healthy link finishes
+                # tailing orders of magnitude before the kill point and a
+                # slowed one lands orders of magnitude after it.
+                crash_time = executor.busiest_clock(default=self.storage.env.clock.now)
                 executor = Executor(self.plan)
                 promoted = None
                 if self.replication is not None and failed_node is not None:
@@ -753,23 +717,65 @@ class RecoveryManager:
         return result
 
     # ------------------------------------------------------------------
-    def _crash_time(self, executor: Executor) -> float:
-        """When the failure happened: the busiest instance's clock.
+    def _read_epoch(self, epoch: int) -> tuple[dict[str, Any], dict[str, Any]]:
+        """One committed epoch's CRC-verified manifest and job blob."""
+        manifest = self.storage.read_manifest(epoch)
+        job = pickle.loads(
+            self.storage.read_file(manifest, f"{_epoch_dir(epoch)}/job")
+        )
+        return manifest, job
 
-        Compared against the standbys' ``ready_at`` stamps (storage
-        clock) — the clock domains are independent approximations of
-        wall time since job start, so the comparison is meaningful in
-        the two regimes that matter: a healthy link finishes tailing
-        orders of magnitude before processing reaches the kill point,
-        and a slowed link pushes ``ready_at`` orders of magnitude past
-        it (the lagging standby).
+    def _load_epoch(
+        self,
+        executor: Executor,
+        epoch: int,
+        manifest: dict[str, Any],
+        job: dict[str, Any],
+        override: Callable[[int, str], list[ExportedEntry] | None] | None = None,
+    ) -> None:
+        """Load one committed epoch into ``executor`` — the one state-loading
+        path of both the restore and the promotion lane.
+
+        Redeploys at the epoch's parallelism and routing table, then fills
+        each stateful instance from the first source that has it:
+        ``override(index, key)`` (a promoted standby's entries), the
+        instance's shard chain, or its whole-store snapshot.  Every shard
+        — owned by this epoch or inherited — is read through
+        :meth:`CheckpointStorage.read_ref` from the instance's cluster
+        node (a peer download when no replica lives there), so corruption
+        *anywhere in a chain* raises :class:`SnapshotCorruptError`.  An
+        imported instance's dirty set is cleared: it holds exactly what
+        the epoch describes, so the next delta epoch may reference it.
+        Operator metadata, job outputs and the manifest's shard chains
+        follow.
         """
-        times = [
-            instance.env.clock.now
-            for node in executor._stateful_nodes  # noqa: SLF001
-            for instance in executor._instances[node.node_id]  # noqa: SLF001
-        ]
-        return max(times, default=self.storage.env.clock.now)
+        storage = self.storage
+        executor.rebuild_for_restore(job["parallelism"])
+        owner_table = job.get("group_owner")
+        if owner_table is not None:
+            executor.group_owner[:] = owner_table
+        sharded = manifest.get("sharded", {})
+        for _node, idx, instance, key in executor.stateful_instances():
+            backend = instance.operator.backend
+            entries = None if override is None else override(idx, key)
+            if entries is None and key in sharded:
+                groups = sharded[key]["groups"]
+                entries = []
+                for group in sorted(groups):
+                    ref = ShardRef(*groups[group])
+                    data = storage.read_ref(
+                        ref.path, ref.length, ref.crc,
+                        reader=executor.cluster_node_of(idx),
+                    )
+                    entries.extend(unpack_group_shard(storage.env, data))
+            if entries is None:
+                backend.restore(storage.load_snapshot(epoch, manifest, key))
+            else:
+                backend.import_state(StateExport(entries=entries))
+                backend.clear_dirty()
+            instance.operator.restore_checkpoint_state(job["operators"][key])
+        executor.set_job_outputs(job["sinks"], job["latencies"], job["rescales"])
+        self.checkpointer.adopt_manifest(epoch, manifest, job["at_record"])
 
     def _promote(
         self, executor: Executor, failed_node: int, crash_time: float
@@ -798,10 +804,7 @@ class RecoveryManager:
         degrade_reason = "no usable checkpoint epoch"
         for epoch in reversed(storage.epochs()):
             try:
-                manifest = storage.read_manifest(epoch)
-                job = pickle.loads(
-                    storage.read_file(manifest, f"{_epoch_dir(epoch)}/job")
-                )
+                manifest, job = self._read_epoch(epoch)
             except SnapshotCorruptError:
                 continue
             parallelism = job["parallelism"]
@@ -811,7 +814,7 @@ class RecoveryManager:
             }
             dead_keys = [
                 f"op{node.node_id}/p{idx}"
-                for node in executor._stateful_nodes  # noqa: SLF001
+                for node in executor.stateful_nodes
                 for idx in sorted(dead_idxs)
             ]
             if not dead_keys:
@@ -826,51 +829,28 @@ class RecoveryManager:
                     f"standby not ready at epoch {epoch} for {lagging[0]}"
                 )
                 continue
+            tail_replayed = 0
+
+            def from_standby(idx: int, key: str) -> list[ExportedEntry] | None:
+                nonlocal tail_replayed
+                if idx not in dead_idxs:
+                    return None
+                if faults is not None:
+                    faults.crash_point(CRASH_STANDBY_PROMOTE, now=storage.env.now)
+                entries, tail = replication.promote_entries(key, epoch)
+                tail_replayed += tail
+                return entries
+
+            for idx in sorted(dead_idxs):
+                executor.node_override[idx] = standby_node
             try:
-                for idx in sorted(dead_idxs):
-                    executor.node_override[idx] = standby_node
-                executor.rebuild_for_restore(parallelism)
-                owner_table = job.get("group_owner")
-                if owner_table is not None:
-                    executor.group_owner[:] = owner_table
-                sharded = manifest.get("sharded", {})
-                tail_replayed = 0
-                for node in executor._stateful_nodes:  # noqa: SLF001
-                    for idx, instance in enumerate(
-                        executor._instances[node.node_id]  # noqa: SLF001
-                    ):
-                        key = f"op{node.node_id}/p{idx}"
-                        backend = instance.operator.backend
-                        if idx in dead_idxs:
-                            if faults is not None:
-                                faults.crash_point(
-                                    CRASH_STANDBY_PROMOTE, now=storage.env.now
-                                )
-                            entries, tail = replication.promote_entries(key, epoch)
-                            backend.import_state(StateExport(entries=entries))
-                            backend.clear_dirty()
-                            tail_replayed += tail
-                        elif key in sharded:
-                            self._restore_sharded(
-                                sharded[key], backend,
-                                reader=executor.cluster_node_of(idx),
-                            )
-                        else:
-                            snap = storage.load_snapshot(epoch, manifest, key)
-                            backend.restore(snap)
-                        instance.operator.restore_checkpoint_state(
-                            job["operators"][key]
-                        )
+                self._load_epoch(executor, epoch, manifest, job, from_standby)
             except (SnapshotCorruptError, InjectedCrashError) as exc:
                 # Torn standby state, a crash injected mid-promotion, or
                 # a corrupt survivor shard: abandon the hot lane whole.
                 executor.node_override.clear()
                 degrade_reason = str(exc)
                 break
-            executor._sinks = {name: list(vals) for name, vals in job["sinks"].items()}  # noqa: SLF001
-            executor._latencies = list(job["latencies"])  # noqa: SLF001
-            executor._rescales = list(job["rescales"])  # noqa: SLF001
-            self.checkpointer.adopt_manifest(epoch, manifest, job["at_record"])
             self.recoveries.append(
                 RecoveryEvent(
                     kind="promote",
@@ -907,29 +887,8 @@ class RecoveryManager:
         for epoch in reversed(storage.epochs()):
             started = storage.env.clock.now
             try:
-                manifest = storage.read_manifest(epoch)
-                job = pickle.loads(storage.read_file(manifest, f"{_epoch_dir(epoch)}/job"))
-                executor.rebuild_for_restore(job["parallelism"])
-                owner_table = job.get("group_owner")
-                if owner_table is not None:
-                    executor.group_owner[:] = owner_table
-                sharded = manifest.get("sharded", {})
-                node_of = getattr(executor, "cluster_node_of", None)
-                for node in executor._stateful_nodes:  # noqa: SLF001
-                    for idx, instance in enumerate(
-                        executor._instances[node.node_id]  # noqa: SLF001
-                    ):
-                        key = f"op{node.node_id}/p{idx}"
-                        if key in sharded:
-                            self._restore_sharded(
-                                sharded[key],
-                                instance.operator.backend,
-                                reader=None if node_of is None else node_of(idx),
-                            )
-                        else:
-                            snap = storage.load_snapshot(epoch, manifest, key)
-                            instance.operator.backend.restore(snap)
-                        instance.operator.restore_checkpoint_state(job["operators"][key])
+                manifest, job = self._read_epoch(epoch)
+                self._load_epoch(executor, epoch, manifest, job)
             except SnapshotCorruptError as exc:
                 self.recoveries.append(
                     RecoveryEvent(
@@ -941,10 +900,6 @@ class RecoveryManager:
                     )
                 )
                 continue
-            executor._sinks = {name: list(vals) for name, vals in job["sinks"].items()}  # noqa: SLF001
-            executor._latencies = list(job["latencies"])  # noqa: SLF001
-            executor._rescales = list(job["rescales"])  # noqa: SLF001
-            self.checkpointer.adopt_manifest(epoch, manifest, job["at_record"])
             self.recoveries.append(
                 RecoveryEvent(
                     kind="restore",
@@ -961,26 +916,3 @@ class RecoveryManager:
         self.recoveries.append(RecoveryEvent(kind="fresh_restart", at_record=0))
         self.checkpointer.start_from(0, 0)
         return 0, float("-inf"), pickle.loads(pristine_policy)
-
-    def _restore_sharded(
-        self, desc: dict[str, Any], backend: Any, reader: int | None = None
-    ) -> None:
-        """Compose one instance's state from its manifest's shard chain.
-
-        Every referenced shard — whether owned by this epoch or an
-        earlier one — is read back through :meth:`CheckpointStorage.read_ref`,
-        so a corrupt shard *anywhere in the chain* raises
-        :class:`SnapshotCorruptError` and fails this whole epoch over to
-        an older one.  ``reader`` is the restoring instance's cluster
-        node: cluster storage charges a peer download when no replica of
-        a shard lives there.  The dirty set is cleared afterwards: the
-        backend now holds exactly what the shards describe, so the next
-        delta epoch may reference them.
-        """
-        entries: list[Any] = []
-        for group in sorted(desc["groups"]):
-            ref = ShardRef(*desc["groups"][group])
-            data = self.storage.read_ref(ref.path, ref.length, ref.crc, reader=reader)
-            entries.extend(unpack_group_shard(self.storage.env, data))
-        backend.import_state(StateExport(entries=entries))
-        backend.clear_dirty()

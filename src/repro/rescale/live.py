@@ -40,14 +40,7 @@ from repro.errors import (
     SnapshotCorruptError,
 )
 from repro.faults import CRASH_MIGRATE_EXPORT, CRASH_MIGRATE_IMPORT
-from repro.kvstores.api import (
-    CAP_INCREMENTAL,
-    CAP_RESCALE,
-    DEFAULT_CHUNK_BYTES,
-    StateExport,
-    StateExportStream,
-    require_capability,
-)
+from repro.kvstores.api import DEFAULT_CHUNK_BYTES, StateExport, StateExportStream
 from repro.rescale.keygroups import (
     contiguous_owner_table,
     key_group_of,
@@ -125,19 +118,20 @@ class LiveMigration:
         at_record: int = 0,
         chunk_bytes: int | None = None,
         queue_limit: int | None = None,
-        seed_source: Any = None,
+        seed: Any = None,
         target_table: list[int] | None = None,
         reason: str = "scale",
         hot_groups: list[int] | None = None,
     ) -> None:
-        plan = executor._plan  # noqa: SLF001 - the executor's rescale back-half
+        plan = executor.plan
         self._exec = executor
-        # Optional repro.recovery.CheckpointSeedSource: moved key-groups
-        # that are *clean* since the last checkpoint are landed at the
-        # destination from that checkpoint's shards (checkpoint-read I/O)
+        # Optional seed (a repro.recovery.Checkpointer or a
+        # repro.changelog.ChangelogReplication): moved key-groups that
+        # are *clean* since the last checkpoint land at the destination
+        # from its group_entries (a checkpoint shard or a warm replica)
         # instead of being streamed live; only dirtied groups pay
         # live-transfer bytes — O(state) becomes O(delta).
-        self._seed = seed_source
+        self._seed = seed
         self._G = plan.max_key_groups
         validate_parallelism(new_parallelism, self._G)
         self._new_parallelism = new_parallelism
@@ -177,12 +171,7 @@ class LiveMigration:
             hot_groups=sorted(hot_groups or []),
         )
         self.done = False
-        self._nodes = list(executor._stateful_nodes)  # noqa: SLF001
-        if move_plan:
-            for node in self._nodes:
-                backend = executor._instances[node.node_id][0].operator.backend  # noqa: SLF001
-                require_capability(backend, CAP_RESCALE, "export_state")
-
+        self._nodes = list(executor.stateful_nodes)
         self._group_src: dict[int, int] = {}
         self._group_dst: dict[int, int] = {}
         for src, dsts in move_plan.items():
@@ -203,17 +192,16 @@ class LiveMigration:
         self._cuts: dict[int, GroupCutover] = {}
         self._reports: dict[int, NodeMigration] = {}
         self._old_len = {
-            node.node_id: len(executor._instances[node.node_id])  # noqa: SLF001
-            for node in self._nodes
+            node.node_id: len(executor.instances(node)) for node in self._nodes
         }
 
         for node in self._nodes:
             report = NodeMigration(node=node.name)
             self._reports[node.node_id] = report
             self.event.per_node.append(report)
-            instances = executor._instances[node.node_id]  # noqa: SLF001
+            instances = executor.instances(node)
             for index in range(len(instances), new_parallelism):
-                instances.append(executor._new_instance(node, index))  # noqa: SLF001
+                instances.append(executor.new_instance(node, index))
 
         def kg_of(key: bytes) -> int:
             return key_group_of(key, self._G)
@@ -245,15 +233,16 @@ class LiveMigration:
     def _drain(self, move_plan: dict[int, dict[int, list[int]]], arrival: float) -> None:
         """Extract every moved key-group from its source, up front.
 
-        With a checkpoint seed source, moved groups that are *clean*
-        since the last checkpoint (dirty set captured before the drain
-        itself marks them) are landed at the destination straight from
-        the checkpoint's shards and skip the live transfer entirely; the
-        drained copy still serves as the rollback journal.  A corrupt or
-        missing shard silently demotes that group to the live path.
+        With a seed, moved groups that are *clean* since the last
+        checkpoint (dirty set captured before the drain itself marks
+        them) are landed at the destination straight from the seed's
+        ``group_entries`` and skip the live transfer entirely; the
+        drained copy still serves as the rollback journal.  A group the
+        seed cannot serve — no shard or replica, or one that fails its
+        checks or its delivery — silently demotes to the live path.
         """
         for node in self._nodes:
-            instances = self._exec._instances[node.node_id]  # noqa: SLF001
+            instances = self._exec.instances(node)
             report = self._reports[node.node_id]
             for src, dsts in sorted(move_plan.items()):
                 source = instances[src]
@@ -266,11 +255,7 @@ class LiveMigration:
                 # Clean groups are seed candidates; the dirty set must be
                 # read *before* export_state marks every drained key.
                 candidates: set[int] = set()
-                if (
-                    self._seed is not None
-                    and CAP_INCREMENTAL in backend.capabilities
-                    and getattr(backend, "checkpoint_key_groups", None) == self._G
-                ):
+                if self._seed is not None and backend.checkpoint_key_groups == self._G:
                     candidates = groups - set(backend.dirty_groups())
                 before = source.env.clock.now
                 stream = StateExportStream(
@@ -288,26 +273,17 @@ class LiveMigration:
                     self._pieces[(node.node_id, group)] = piece
                 seed_key = f"op{node.node_id}/p{src}"
                 seed_entries: dict[int, list[Any]] = {}
-                deliver = getattr(self._seed, "charge_delivery", None)
                 for group in sorted(candidates):
-                    ref = self._seed.shard_ref(seed_key, group, self._G)
-                    if ref is None:
-                        continue
                     try:
-                        entries = self._seed.read_entries(ref)
-                        if deliver is not None:
-                            # Standby-held seeds travel over the priced
-                            # network to the destination's node.
-                            deliver(
-                                ref,
-                                self._exec.cluster_node_of(self._group_dst[group]),
-                                sum(e.payload_bytes for e in entries),
-                            )
+                        entries = self._seed.group_entries(
+                            seed_key, group, self._G,
+                            self._exec.cluster_node_of(self._group_dst[group]),
+                        )
                     except (SnapshotCorruptError, DiskIOError):
-                        # Demote this group to the live streaming path.
-                        continue
-                    seed_entries[group] = entries
-                    stream.skip_transfer(group)
+                        entries = None  # demoted to the live streaming path
+                    if entries is not None:
+                        seed_entries[group] = entries
+                        stream.skip_transfer(group)
                 for group in groups:
                     entries = stream.entries_of(group)
                     report.entries_moved += len(entries)
@@ -375,7 +351,7 @@ class LiveMigration:
         stream = self._streams[(node_id, src)]
         chunk = stream.next_chunk(group)
         node = next(n for n in self._nodes if n.node_id == node_id)
-        instances = self._exec._instances[node_id]  # noqa: SLF001
+        instances = self._exec.instances(node)
         source = instances[src]
         dst = self._group_dst[group]
         destination = instances[dst]
@@ -389,7 +365,7 @@ class LiveMigration:
         self._bump(source, arrival, elapsed)
         cut.transfer_seconds += elapsed
         before = destination.env.clock.now
-        cluster = self._exec._plan.cluster  # noqa: SLF001
+        cluster = self._exec.plan.cluster
         if cluster is not None:
             # Cross-node chunk: the receiver waits out the link time.  A
             # dropped link raises DiskIOError here, escalating to the
@@ -421,8 +397,7 @@ class LiveMigration:
     ) -> None:
         """Import one group's entries (streamed or checkpoint-seeded) at
         the new owner; cut the group over once every node has landed it."""
-        instances = self._exec._instances[node.node_id]  # noqa: SLF001
-        destination = instances[self._group_dst[group]]
+        destination = self._exec.instances(node)[self._group_dst[group]]
         if self._faults is not None:
             self._faults.crash_point(
                 CRASH_MIGRATE_IMPORT, now_fn=lambda d=destination: d.env.now
@@ -445,30 +420,24 @@ class LiveMigration:
 
     def _cutover(self, group: int, arrival: float) -> None:
         """Flip routing for one group and replay its buffered records."""
-        from repro.engine.batch import record_bytes  # circular at module load
         self._in_transit.discard(group)
-        self._exec.group_owner[group] = self._group_dst[group]
+        dst = self._group_dst[group]
+        self._exec.group_owner[group] = dst
         cut = self._cut_of(group)
         cut.cutover_at = arrival
         src = self._group_src[group]
         migration_work = cut.transfer_seconds + cut.import_seconds
         for node in self._nodes:
             self._streams[(node.node_id, src)].commit(group)
-            destination = self._exec._instances[node.node_id][self._group_dst[group]]  # noqa: SLF001
             buffered = self._buffers.pop((node.node_id, group), [])
             cut.buffered_records += len(buffered)
-            for record, stamp in buffered:
+            for _record, stamp in buffered:
                 cut.max_record_delay = max(
                     cut.max_record_delay, max(0.0, migration_work - stamp)
                 )
-                service = self._exec._run_unit(  # noqa: SLF001
-                    node, destination, arrival,
-                    lambda r=record, d=destination: d.operator.process(r),
-                )
-                self._exec.load_tracker.record(
-                    group, self._group_dst[group], destination.cluster_node,
-                    1, len(record.key) + record_bytes(record.value), service,
-                )
+            self._exec.replay(
+                node, dst, group, [record for record, _stamp in buffered], arrival
+            )
         self.event.cutovers.append(cut)
         if not self._in_transit:
             self._commit(arrival)
@@ -485,15 +454,7 @@ class LiveMigration:
     def _commit(self, arrival: float) -> None:
         """Every group cut over: retire emptied instances, normalize."""
         executor = self._exec
-        for node in self._nodes:
-            instances = executor._instances[node.node_id]  # noqa: SLF001
-            for retired in instances[self._new_parallelism:]:
-                retired.operator.backend.close()
-                executor._retired.setdefault(node.node_id, []).append(  # noqa: SLF001
-                    (retired.env.ledger.snapshot(), retired.env.clock.now,
-                     retired.operator.results_emitted)
-                )
-            del instances[self._new_parallelism:]
+        executor.retire_instances(self._new_parallelism)
         executor.current_parallelism = self._new_parallelism
         if self._target_table is not None:
             executor.group_owner[:] = self._target_table
@@ -512,8 +473,6 @@ class LiveMigration:
         buffered records replay at the old owner.  Cut-over groups are
         untouched: their new ownership survives the abort.
         """
-        from repro.engine.batch import record_bytes  # circular at module load
-
         executor = self._exec
         remaining = sorted(self._in_transit)
         self.event.aborted = True
@@ -521,7 +480,7 @@ class LiveMigration:
         for group in remaining:
             src = self._group_src.get(group, 0)
             for node in self._nodes:
-                instances = executor._instances[node.node_id]  # noqa: SLF001
+                instances = executor.instances(node)
                 stream = self._streams.get((node.node_id, src))
                 if stream is None:
                     continue  # this node never drained: state never left
@@ -555,27 +514,22 @@ class LiveMigration:
                     source.operator.import_keyed_state(piece)
                 # The group serves at its old owner again; its buffered
                 # records were never processed — replay them there.
-                for record, _stamp in self._buffers.pop((node.node_id, group), []):
-                    service = self._exec._run_unit(  # noqa: SLF001
-                        node, source, arrival,
-                        lambda r=record, s=source: s.operator.process(r),
-                    )
-                    self._exec.load_tracker.record(
-                        group, src, source.cluster_node,
-                        1, len(record.key) + record_bytes(record.value), service,
-                    )
+                buffered = self._buffers.pop((node.node_id, group), [])
+                executor.replay(
+                    node, src, group, [record for record, _stamp in buffered], arrival
+                )
             self._in_transit.discard(group)
         if self.event.cutovers:
             # Partial cutover survived: keep every instance that now owns
             # groups; the mixed routing table stays authoritative.
             executor.current_parallelism = max(
-                len(executor._instances[node.node_id]) for node in self._nodes  # noqa: SLF001
+                len(executor.instances(node)) for node in self._nodes
             ) if self._nodes else self.event.old_parallelism
         else:
             # Nothing cut over: drop the instances created for the new
             # topology and restore the pre-migration shape exactly.
             for node in self._nodes:
-                instances = executor._instances[node.node_id]  # noqa: SLF001
+                instances = executor.instances(node)
                 old_len = self._old_len[node.node_id]
                 for created in instances[old_len:]:
                     created.operator.backend.close()

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Any
 from repro.cluster.topology import charge_link
 from repro.errors import DiskIOError, InjectedCrashError
 from repro.faults import CRASH_MIGRATE_EXPORT, CRASH_MIGRATE_IMPORT, with_retries
-from repro.kvstores.api import CAP_RESCALE, StateExport, require_capability
+from repro.kvstores.api import StateExport
 from repro.rescale.keygroups import (
     contiguous_owner_table,
     key_group_of,
@@ -209,7 +209,7 @@ def migrate(
     Returns the :class:`RescaleEvent`; an identity rescale moves zero
     key-groups and records zero downtime.
     """
-    plan = executor._plan  # noqa: SLF001 - the executor's rescale back-half
+    plan = executor.plan
     max_groups = plan.max_key_groups
     validate_parallelism(new_parallelism, max_groups)
     old_parallelism = executor.current_parallelism
@@ -224,11 +224,6 @@ def migrate(
             len(groups) for dsts in move_plan.values() for groups in dsts.values()
         ),
     )
-    if move_plan:
-        for node in executor._stateful_nodes:  # noqa: SLF001
-            backend = executor._instances[node.node_id][0].operator.backend  # noqa: SLF001
-            require_capability(backend, CAP_RESCALE, "export_state")
-
     def kg_of(key: bytes) -> int:
         return key_group_of(key, max_groups)
 
@@ -248,13 +243,13 @@ def migrate(
     # anywhere can still return state to the old owners.
     journal: list[tuple[Any, dict[int, tuple[StateExport, dict[str, Any]]], list[int]]] = []
     try:
-        for node in executor._stateful_nodes:  # noqa: SLF001
-            instances = executor._instances[node.node_id]  # noqa: SLF001
+        for node in executor.stateful_nodes:
+            instances = executor.instances(node)
             report = NodeMigration(node=node.name)
             # Redeploy: grow the instance list before transfers so imports
             # have somewhere to land; retiring instances stay until drained.
             for index in range(old_parallelism, new_parallelism):
-                instances.append(executor._new_instance(node, index))  # noqa: SLF001
+                instances.append(executor.new_instance(node, index))
             exported: dict[int, tuple[StateExport, dict[str, Any]]] = {}
             imported: list[int] = []
             journal.append((node, exported, imported))
@@ -335,31 +330,16 @@ def migrate(
         return event
     # Commit phase: retire shrunk-away instances (state fully exported
     # and imported everywhere — the migration can no longer abort).
-    for node in executor._stateful_nodes:  # noqa: SLF001
-        instances = executor._instances[node.node_id]  # noqa: SLF001
-        for retired in instances[new_parallelism:]:
-            retired.operator.backend.close()
-            executor._retired.setdefault(node.node_id, []).append(  # noqa: SLF001
-                (retired.env.ledger.snapshot(), retired.env.clock.now,
-                 retired.operator.results_emitted)
-            )
-        del instances[new_parallelism:]
+    executor.retire_instances(new_parallelism)
 
     # Resume: the whole job was paused for the stop-the-world window.
+    survivors = [inst for _n, _i, inst, _k in executor.stateful_instances()]
     resume_at = (
-        max(
-            [arrival]
-            + [
-                inst.wall_available
-                for insts in executor._instances.values()  # noqa: SLF001
-                for inst in insts
-            ]
-        )
+        max([arrival] + [inst.wall_available for inst in survivors])
         + event.downtime_seconds
     )
-    for insts in executor._instances.values():  # noqa: SLF001
-        for inst in insts:
-            inst.wall_available = max(inst.wall_available, resume_at)
+    for inst in survivors:
+        inst.wall_available = max(inst.wall_available, resume_at)
     executor.current_parallelism = new_parallelism
     executor.group_owner[:] = contiguous_owner_table(max_groups, new_parallelism)
     return event
@@ -383,7 +363,7 @@ def _rollback(
     work is charged to the ``recovery`` category.
     """
     for node, exported, imported in journal:
-        instances = executor._instances[node.node_id]  # noqa: SLF001
+        instances = executor.instances(node)
         for dst in imported:
             if dst >= old_parallelism:
                 continue  # created for the new topology; dropped below

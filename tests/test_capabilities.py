@@ -1,10 +1,13 @@
-"""Capability discovery: typed errors instead of NotImplementedError.
+"""The state-movement contract and the pinned store API surface.
 
-Backends advertise optional features (snapshot, rescale) through a
-``capabilities`` frozenset; callers that need one check it up front with
-:func:`require_capability` and get a typed, actionable
-:class:`UnsupportedOperationError` — never a bare ``NotImplementedError``
-halfway through a checkpoint or migration.
+Checkpoint, restore, failover and rescale call a backend's
+state-movement members directly: ``snapshot``/``restore``,
+``export_state``/``import_state``/``export_group_state``,
+``dirty_groups``/``clear_dirty``, ``checkpoint_key_groups`` and
+``attach_changelog`` on :class:`WindowStateBackend`, and
+``snapshot``/``restore`` on :class:`KVStore`.  They are abstract, so a
+backend that lacks one cannot even be constructed — nothing has to ask
+a backend what it supports before moving its state.
 """
 
 from __future__ import annotations
@@ -12,25 +15,17 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
-from dataclasses import replace
+import re
+from pathlib import Path
 
 import pytest
 
 import repro
-from repro.bench.harness import run_query
-from repro.bench.profiles import TINY_PROFILE
 from repro.core import FlowKVComposite
-from repro.core.patterns import StorePattern, WindowKind
-from repro.engine.state import GenericKVBackend, OperatorInfo
-from repro.errors import StoreError, UnsupportedOperationError
-from repro.kvstores.api import (
-    CAP_INCREMENTAL,
-    CAP_RESCALE,
-    CAP_SNAPSHOT,
-    KVStore,
-    WindowStateBackend,
-    require_capability,
-)
+from repro.core.patterns import StorePattern
+from repro.engine.joins import JoinStateBackend
+from repro.engine.state import GenericKVBackend
+from repro.kvstores.api import KVStore, StateExport, WindowStateBackend
 from repro.model import GLOBAL_WINDOW
 from repro.kvstores.hashkv import FasterStore
 from repro.kvstores.lsm import LsmStore
@@ -38,9 +33,18 @@ from repro.kvstores.memory import HeapWindowBackend
 from repro.simenv import SimEnv
 from repro.storage import SimFileSystem
 
+# The members every window-state backend must define (the join-state
+# backend too, though it is not a subclass) and every KV store.
+STATE_MOVEMENT = (
+    "snapshot", "restore", "export_state", "import_state",
+    "export_group_state", "dirty_groups", "clear_dirty",
+    "checkpoint_key_groups", "attach_changelog",
+)
+KV_STATE_MOVEMENT = ("snapshot", "restore")
+
 
 class BareBackend(WindowStateBackend):
-    """A backend implementing only the required surface — no optionals."""
+    """A backend implementing only the required surface, trivially."""
 
     def multi_append(self, entries):
         pass
@@ -70,9 +74,37 @@ class BareBackend(WindowStateBackend):
     def memory_bytes(self):
         return 0
 
+    def snapshot(self):
+        return None
+
+    def restore(self, snapshot):
+        pass
+
+    def export_state(self, key_groups, key_group_of):
+        return StateExport()
+
+    def import_state(self, export):
+        pass
+
+    def export_group_state(self, key_groups, key_group_of):
+        return StateExport()
+
+    def dirty_groups(self):
+        return frozenset()
+
+    def clear_dirty(self):
+        pass
+
+    @property
+    def checkpoint_key_groups(self):
+        return 128
+
+    def attach_changelog(self, writer):
+        pass
+
 
 class BareStore(KVStore):
-    """A KV store with no optional capabilities."""
+    """A KV store implementing only the required surface, trivially."""
 
     def get(self, key):
         return None
@@ -99,89 +131,100 @@ class BareStore(KVStore):
     def memory_bytes(self):
         return 0
 
+    def snapshot(self, upload_env=None):
+        return None
+
+    def restore(self, snapshot):
+        pass
+
 
 def heap_backend():
     return HeapWindowBackend(SimEnv(), 1 << 20)
 
 
+def _lacking(bare: type, name: str) -> type:
+    """``bare``'s members minus ``name``, on ``bare``'s abstract base."""
+    members = {
+        key: value for key, value in vars(bare).items()
+        if key != name and not key.startswith("_")
+    }
+    return type(f"Lacks_{name}", bare.__bases__, members)
+
+
 class TestAdvertisedCapabilities:
+    """Every in-tree backend can do everything state movement asks."""
+
     def test_heap_backend_supports_everything(self):
-        assert heap_backend().capabilities == {
-            CAP_SNAPSHOT, CAP_RESCALE, CAP_INCREMENTAL,
-        }
+        backend = heap_backend()
+        assert not inspect.isabstract(HeapWindowBackend)
+        assert backend.checkpoint_key_groups == 128
+        assert backend.snapshot().kind == "heap"
 
     def test_flowkv_supports_everything(self):
         env = SimEnv()
         backend = FlowKVComposite(env, SimFileSystem(env), StorePattern.AAR)
-        assert backend.capabilities == {
-            CAP_SNAPSHOT, CAP_RESCALE, CAP_INCREMENTAL,
-        }
+        assert not inspect.isabstract(FlowKVComposite)
+        assert backend.checkpoint_key_groups == 128
+        assert backend.snapshot().kind.startswith("flowkv")
 
     def test_generic_kv_inherits_snapshot_from_store(self):
-        env = SimEnv()
-        for store_cls in (LsmStore, FasterStore):
-            store = store_cls(env, SimFileSystem(env), "s")
-            assert store.capabilities == {CAP_SNAPSHOT}
-            backend = GenericKVBackend(env, store)
-            assert backend.capabilities == {
-                CAP_SNAPSHOT, CAP_RESCALE, CAP_INCREMENTAL,
-            }
-
-    def test_generic_kv_over_bare_store_can_rescale_not_snapshot(self):
-        # export/import (and the dirty-group bookkeeping riding on it) is
-        # implemented generically on top of scan/put, but snapshotting
-        # needs the store's own support.
-        backend = GenericKVBackend(SimEnv(), BareStore())
-        assert backend.capabilities == {CAP_RESCALE, CAP_INCREMENTAL}
+        # The glue delegates whole-store snapshots to the wrapped store.
+        for store_cls, kind in ((LsmStore, "lsm"), (FasterStore, "faster")):
+            env = SimEnv()
+            backend = GenericKVBackend(env, store_cls(env, SimFileSystem(env), "s"))
+            assert not inspect.isabstract(store_cls)
+            assert backend.snapshot().kind == kind
 
     def test_base_classes_advertise_nothing(self):
-        assert BareBackend().capabilities == frozenset()
-        assert BareStore().capabilities == frozenset()
+        # No optional-feature set to consult, on any backend or store:
+        # the abstract members are the whole contract.
+        for cls in (
+            WindowStateBackend, KVStore, HeapWindowBackend, FlowKVComposite,
+            GenericKVBackend, JoinStateBackend, LsmStore, FasterStore,
+        ):
+            assert not hasattr(cls, "capabilities"), cls.__name__
 
 
 class TestTypedErrors:
-    def test_optional_methods_raise_typed_error(self):
-        backend = BareBackend()
-        with pytest.raises(UnsupportedOperationError) as exc_info:
-            backend.snapshot()
-        err = exc_info.value
-        assert err.backend == "BareBackend"
-        assert err.capability == CAP_SNAPSHOT
-        assert err.operation == "snapshot"
-        # The typed error is still a StoreError, so existing generic
-        # fault handling keeps working.
-        assert isinstance(err, StoreError)
-        with pytest.raises(UnsupportedOperationError):
-            backend.restore(object())
-        with pytest.raises(UnsupportedOperationError):
-            backend.export_state({0}, lambda key: 0)
-        with pytest.raises(UnsupportedOperationError):
-            backend.import_state(object())
-
-    def test_require_capability_passes_and_fails(self):
-        require_capability(heap_backend(), CAP_RESCALE, "export_state")
-        with pytest.raises(UnsupportedOperationError, match="does not support"):
-            require_capability(BareBackend(), CAP_RESCALE, "export_state")
-
     def test_message_is_actionable(self):
-        with pytest.raises(UnsupportedOperationError, match="capabilities"):
-            require_capability(BareBackend(), CAP_SNAPSHOT)
+        # The TypeError names the member the backend or store is missing.
+        with pytest.raises(TypeError, match="export_state"):
+            _lacking(BareBackend, "export_state")()
+        with pytest.raises(TypeError, match="snapshot"):
+            _lacking(BareStore, "snapshot")()
 
-    def test_message_lists_advertised_capabilities(self):
-        # The error names what the store *does* advertise, so the caller
-        # can see at a glance whether they hold the wrong backend or just
-        # asked for the wrong feature.
-        with pytest.raises(UnsupportedOperationError) as exc_info:
-            require_capability(BareBackend(), CAP_RESCALE, "export_state")
-        assert "advertises no optional capabilities" in str(exc_info.value)
-        backend = GenericKVBackend(SimEnv(), BareStore())
-        with pytest.raises(UnsupportedOperationError) as exc_info:
-            require_capability(backend, CAP_SNAPSHOT, "snapshot")
-        message = str(exc_info.value)
-        assert "it advertises:" in message
-        for cap in sorted(backend.capabilities):
-            assert cap in message
-        assert exc_info.value.advertised == backend.capabilities
+
+class TestStateMovementContract:
+    @pytest.mark.parametrize("name", STATE_MOVEMENT)
+    def test_backend_lacking_a_member_cannot_be_built(self, name):
+        BareBackend()  # the complete surface instantiates
+        with pytest.raises(TypeError):
+            _lacking(BareBackend, name)()
+
+    @pytest.mark.parametrize("name", KV_STATE_MOVEMENT)
+    def test_store_lacking_a_member_cannot_be_built(self, name):
+        BareStore()
+        with pytest.raises(TypeError):
+            _lacking(BareStore, name)()
+
+    def test_state_movement_members_are_exactly_the_abstract_ones(self):
+        required = WindowStateBackend.__abstractmethods__
+        assert set(STATE_MOVEMENT) <= required
+        assert set(KV_STATE_MOVEMENT) <= KVStore.__abstractmethods__
+        # Everything else abstract is the pattern API of Listing 1 plus
+        # lifecycle — nothing optional hides among the required names.
+        assert required - set(STATE_MOVEMENT) == {
+            "multi_append", "read_window", "read_key_window",
+            "rmw_get", "rmw_put", "rmw_remove", "flush", "close",
+            "memory_bytes",
+        }
+
+    def test_join_backend_defines_every_state_movement_member(self):
+        # Join state is engine-managed and not a WindowStateBackend, yet
+        # every path that moves window state moves it too.
+        for name in STATE_MOVEMENT:
+            assert name in vars(JoinStateBackend), name
+        assert JoinStateBackend(SimEnv()).checkpoint_key_groups == 128
 
 
 class TestOneAppendBody:
@@ -240,8 +283,8 @@ def _public_names(cls):
 
 class TestSurfacePin:
     """The store API is the pattern calls of the paper's Listing 1 plus
-    lifecycle, hints and the optional capabilities — growing it again is
-    a deliberate act that edits these sets."""
+    lifecycle, hints and the state-movement contract — growing it again
+    is a deliberate act that edits these sets."""
 
     def test_window_state_backend_surface(self):
         assert _public_names(WindowStateBackend) == {
@@ -250,18 +293,18 @@ class TestSurfacePin:
             "flush", "close", "memory_bytes", "on_watermark",
             "prefetch_enabled", "prefetch_window", "prefetch_keys",
             "prefetch_write_keys",
-            "capabilities", "snapshot", "restore",
-            "export_state", "import_state",
-            "dirty_groups", "clear_dirty", "export_group_state",
+            "snapshot", "restore", "export_state", "import_state",
+            "export_group_state", "dirty_groups", "clear_dirty",
+            "checkpoint_key_groups", "attach_changelog",
         }
 
     def test_kv_store_surface(self):
         assert _public_names(KVStore) == {
             "get", "put", "multi_append", "append", "delete", "scan_prefix",
-            "flush", "close", "memory_bytes", "disk_bytes", "capabilities",
+            "flush", "close", "memory_bytes", "disk_bytes",
+            "snapshot", "restore",
             "append_reads", "prefetch_active", "prefetch_scan", "prefetch_get",
             "write_batch", "apply_write_batch",
-            "dirty_groups", "clear_dirty",
         }
 
     def test_no_concrete_class_has_two_append_bodies(self):
@@ -275,81 +318,17 @@ class TestSurfacePin:
                     doubled.append(f"{module.__name__}.{name}")
         assert doubled == []
 
-
-class TestCallersCheckUpFront:
-    QUERY = "q11-median"
-    WINDOW = TINY_PROFILE.window_sizes[0]
-    # Enough heap that the in-memory backend reaches the rescale point
-    # (the tiny profile's default deliberately OOMs it on this query).
-    PROFILE = replace(TINY_PROFILE, heap_total_bytes=8 << 20)
-
-    @pytest.mark.parametrize("mode", ("live", "stw"))
-    def test_rescale_without_capability_fails_fast(self, monkeypatch, mode):
-        # Strip the heap backend's capabilities: a scheduled rescale must
-        # surface as a typed "unsupported" failure on the run record,
-        # before any state has been exported.
-        monkeypatch.setattr(HeapWindowBackend, "capabilities", frozenset())
-        record = run_query(
-            self.PROFILE, self.QUERY, "memory", self.WINDOW,
-            parallelism=2, rescale_schedule={100: 4}, rescale_mode=mode,
-        )
-        assert not record.ok
-        assert record.failure == "unsupported:export_state"
-
-    def test_checkpointing_without_snapshot_capability(self, monkeypatch):
-        monkeypatch.setattr(
-            HeapWindowBackend, "capabilities", frozenset({CAP_RESCALE})
-        )
-        record = run_query(
-            self.PROFILE, self.QUERY, "memory", self.WINDOW,
-            checkpoint_interval=300,
-        )
-        assert not record.ok
-        assert record.failure == "unsupported:snapshot"
-
-    def test_checkpointing_degrades_without_incremental_capability(self, monkeypatch):
-        # Without CAP_INCREMENTAL the checkpointer silently falls back to
-        # whole-store snapshots — same answers, every epoch full.
-        monkeypatch.setattr(
-            HeapWindowBackend, "capabilities",
-            frozenset({CAP_SNAPSHOT, CAP_RESCALE}),
-        )
-        record = run_query(
-            self.PROFILE, self.QUERY, "memory", self.WINDOW,
-            checkpoint_interval=300,
-        )
-        assert record.ok
-        assert record.checkpoints > 0
-        assert all(stat.full for stat in record.checkpoint_stats)
-        base = run_query(self.PROFILE, self.QUERY, "memory", self.WINDOW)
-        assert record.output_hash == base.output_hash
-
-    def test_incremental_require_fails_fast_without_capability(self, monkeypatch):
-        monkeypatch.setattr(
-            HeapWindowBackend, "capabilities",
-            frozenset({CAP_SNAPSHOT, CAP_RESCALE}),
-        )
-        record = run_query(
-            self.PROFILE, self.QUERY, "memory", self.WINDOW,
-            checkpoint_interval=300, incremental_checkpoints="require",
-        )
-        assert not record.ok
-        assert record.failure == "unsupported:incremental_checkpoint"
-
-    def test_incremental_require_passes_with_capability(self):
-        record = run_query(
-            self.PROFILE, self.QUERY, "memory", self.WINDOW,
-            checkpoint_interval=300, incremental_checkpoints="require",
-        )
-        assert record.ok
-        assert any(not stat.full for stat in record.checkpoint_stats)
-
-    def test_operator_info_unrelated_to_capabilities(self):
-        # Factories receive OperatorInfo; capabilities are a property of
-        # the backend instance, independent of the operator's pattern.
-        info = OperatorInfo(name="w", incremental=True,
-                            window_kind=WindowKind.FIXED)
-        assert info.pattern is not None
-        assert heap_backend().capabilities == {
-            CAP_SNAPSHOT, CAP_RESCALE, CAP_INCREMENTAL,
-        }
+    def test_no_private_executor_reach_outside_engine(self):
+        # Checkpoint, recovery, rescale and changelog replication use the
+        # Executor's public back-half API; its private members stay
+        # inside repro/engine/.
+        root = Path(repro.__file__).parent
+        reach = re.compile(r"(executor|_exec)\._[a-z]")
+        hits = [
+            f"{path.relative_to(root)}:{lineno}"
+            for path in sorted(root.rglob("*.py"))
+            if path.relative_to(root).parts[0] != "engine"
+            for lineno, line in enumerate(path.read_text().splitlines(), 1)
+            if reach.search(line)
+        ]
+        assert hits == []

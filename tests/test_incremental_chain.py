@@ -21,12 +21,13 @@ import pytest
 
 from repro.bench.harness import run_query
 from repro.bench.profiles import TINY_PROFILE
-from repro.errors import SnapshotCorruptError, UnsupportedOperationError
+from repro.engine import StreamEnvironment
+from repro.errors import PlanError, SnapshotCorruptError
 from repro.faults import CRASH_RUNTIME_RECORD, FaultPlan
 from repro.kvstores.api import StateExport, key_group_of
 from repro.kvstores.memory import HeapWindowBackend
 from repro.model import Window
-from repro.recovery import CheckpointStorage, Checkpointer
+from repro.recovery import CheckpointStorage, Checkpointer, RecoveryManager
 from repro.simenv import SimEnv
 from repro.snapshot import ShardRef, unpack_group_shard
 
@@ -49,8 +50,8 @@ def profile_for(backend: str):
 
 
 # ----------------------------------------------------------------------
-# A minimal stand-in for the executor: just enough surface for the
-# checkpointer to walk one stateful instance.
+# A minimal stand-in for the executor: just enough of its back-half API
+# for the checkpointer to walk one stateful instance.
 # ----------------------------------------------------------------------
 class FakeOperator:
     def __init__(self, backend):
@@ -65,20 +66,21 @@ class FakeInstance:
         self.operator = FakeOperator(backend)
 
 
-class FakeNode:
-    node_id = 0
-
-
 class FakeExecutor:
     current_parallelism = 1
     group_owner = list(range(GROUPS))
-    _sinks: dict = {}
-    _latencies: list = []
-    _rescales: list = []
 
     def __init__(self, backend):
-        self._stateful_nodes = [FakeNode()]
-        self._instances = {0: [FakeInstance(backend)]}
+        self.instance = FakeInstance(backend)
+
+    def stateful_instances(self):
+        yield None, 0, self.instance, "op0/p0"
+
+    def cluster_node_of(self, index):
+        return None
+
+    def job_outputs(self):
+        return {"sinks": {}, "latencies": [], "rescales": []}
 
 
 def spread_keys(n_groups: int) -> list[bytes]:
@@ -117,7 +119,7 @@ def canonical_state(backend) -> set:
 def restore_latest(storage: CheckpointStorage):
     """Restore the newest valid chain, falling back past corrupt epochs.
 
-    Mirrors ``RecoveryManager._restore_sharded``'s verification: every
+    Mirrors ``RecoveryManager._load_epoch``'s verification: every
     referenced shard — owned or inherited — goes through ``read_ref``.
     Returns ``(epoch, backend)`` or ``(None, None)``.
     """
@@ -347,12 +349,39 @@ class TestEngineEquivalence:
         assert crashed.ok
         assert crashed.output_hash == base.output_hash
 
-    def test_incremental_requires_capability(self):
-        env, storage, backend, fake, cp = chain_rig(incremental="require")
-        backend.capabilities = frozenset()  # shadow the class attribute
-        backend.append(b"k", W1, b"v", 0.0)
-        with pytest.raises(UnsupportedOperationError):
-            cp.maybe_checkpoint(fake, 1, 0.0, None)
+    def test_whole_store_epochs_recover_exactly_once(self):
+        # incremental_checkpoints=False: every epoch is a whole-store
+        # snapshot of every backend, and a crash restores from one.
+        for backend in BACKENDS:
+            base = run_query(profile_for(backend), QUERY, backend, WINDOW_SIZE)
+            plan = FaultPlan(seed=FAULT_SEED).crash(CRASH_RUNTIME_RECORD, on_hit=700)
+            crashed = run_query(
+                profile_for(backend), QUERY, backend, WINDOW_SIZE,
+                fault_plan=plan, checkpoint_interval=300,
+                incremental_checkpoints=False,
+            )
+            assert crashed.ok, backend
+            assert [e.kind for e in crashed.recoveries] == ["crash", "restore"]
+            assert crashed.checkpoints > 0
+            assert all(stat.full for stat in crashed.checkpoint_stats)
+            assert all(stat.shards_written == 0 for stat in crashed.checkpoint_stats)
+            assert crashed.output_hash == base.output_hash, backend
+
+
+class TestIncrementalFlag:
+    @pytest.mark.parametrize("value", ("require", "false", 0, None))
+    def test_non_bool_is_a_plan_error(self, value):
+        # A truthy string used to mean True silently; every entry point
+        # now rejects anything but a real bool.
+        with pytest.raises(PlanError, match="incremental"):
+            Checkpointer(CheckpointStorage(SimEnv()), interval=1, incremental=value)
+        with pytest.raises(PlanError, match="incremental"):
+            RecoveryManager(StreamEnvironment(), checkpoint_interval=10, incremental=value)
+        with pytest.raises(PlanError, match="incremental"):
+            run_query(
+                TINY_PROFILE, QUERY, "flowkv", WINDOW_SIZE,
+                checkpoint_interval=300, incremental_checkpoints=value,
+            )
 
 
 class TestSeededRescale:

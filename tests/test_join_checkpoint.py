@@ -4,8 +4,8 @@ Join buffers checkpoint through the same per-key-group sharded epochs
 as window state: a crashed join run restores from the newest complete
 epoch and replays digest-equal; a skewed-key workload makes delta
 epochs strictly cheaper than full ones; a corrupt join shard fails the
-chain's CRC verification and falls back to an older epoch; and none of
-it requires any KV-backend capability — join state is engine-managed.
+chain's CRC verification and falls back to an older epoch; and all of
+it works whatever the KV backend — join state is engine-managed.
 
 ``FAULT_SEED`` (env var) varies the fault plans exactly as in
 ``test_recovery.py`` so the CI fault matrix covers this file too.
@@ -20,16 +20,9 @@ import pytest
 from repro.bench.harness import run_query
 from repro.bench.profiles import TINY_PROFILE
 from repro.engine.joins import LEFT, RIGHT, JoinStateBackend
-from repro.errors import SnapshotCorruptError, UnsupportedOperationError
+from repro.errors import SnapshotCorruptError
 from repro.faults import CRASH_RUNTIME_RECORD, FaultPlan
-from repro.kvstores.api import (
-    CAP_INCREMENTAL,
-    CAP_RESCALE,
-    CAP_SNAPSHOT,
-    StateExport,
-    key_group_of,
-    require_capability,
-)
+from repro.kvstores.api import StateExport, key_group_of
 from repro.model import Window
 from repro.recovery import CheckpointStorage, Checkpointer
 from repro.simenv import SimEnv
@@ -57,7 +50,7 @@ def kinds(record):
 
 # ----------------------------------------------------------------------
 # Minimal executor stand-in (mirrors test_incremental_chain) so the
-# checkpointer walks one join-state instance directly.
+# checkpointer walks one join-state instance through the back-half API.
 # ----------------------------------------------------------------------
 class FakeOperator:
     def __init__(self, backend):
@@ -72,20 +65,21 @@ class FakeInstance:
         self.operator = FakeOperator(backend)
 
 
-class FakeNode:
-    node_id = 0
-
-
 class FakeExecutor:
     current_parallelism = 1
     group_owner = list(range(GROUPS))
-    _sinks: dict = {}
-    _latencies: list = []
-    _rescales: list = []
 
     def __init__(self, backend):
-        self._stateful_nodes = [FakeNode()]
-        self._instances = {0: [FakeInstance(backend)]}
+        self.instance = FakeInstance(backend)
+
+    def stateful_instances(self):
+        yield None, 0, self.instance, "op0/p0"
+
+    def cluster_node_of(self, index):
+        return None
+
+    def job_outputs(self):
+        return {"sinks": {}, "latencies": [], "rescales": []}
 
 
 def kg(key: bytes) -> int:
@@ -168,9 +162,8 @@ class TestJoinExactlyOnce:
 
     def test_join_state_needs_no_kv_backend_capability(self):
         # The join buffers are engine-managed: incremental join
-        # checkpoints work on any KV backend — even one without
-        # CAP_INCREMENTAL state of its own — because the plan holds no
-        # window state at all.
+        # checkpoints work the same on any KV backend, because the plan
+        # holds no window state at all.
         base = run()
         for backend in ("memory", "faster"):
             record = run(backend=backend, checkpoint_interval=INTERVAL)
@@ -298,20 +291,9 @@ class TestJoinShardCorruption:
 
 
 class TestJoinCapabilities:
-    # Negative paths for the removed guards: the join backend passes
-    # every capability gate the migration and checkpoint paths demand,
-    # and rejects foreign state at the import boundary.
-    def test_join_backend_advertises_all_capabilities(self):
-        backend = JoinStateBackend(SimEnv())
-        for capability in (CAP_SNAPSHOT, CAP_RESCALE, CAP_INCREMENTAL):
-            require_capability(backend, capability, "test")  # must not raise
-
-    def test_missing_capability_still_fails_fast(self):
-        backend = JoinStateBackend(SimEnv())
-        backend.capabilities = frozenset()  # shadow the class attribute
-        with pytest.raises(UnsupportedOperationError):
-            require_capability(backend, CAP_RESCALE, "export_state")
-
+    # The join backend moves state across key-groups losslessly and
+    # rejects foreign state at the import boundary.  (That it defines
+    # every state-movement member is pinned in test_capabilities.py.)
     def test_import_rejects_non_join_state(self):
         backend = JoinStateBackend(SimEnv())
         window_entry = StateExport()
