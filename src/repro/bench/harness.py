@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.bench.profiles import ScaleProfile
 from repro.errors import StoreOOMError
 from repro.nexmark.queries import build_query
 from repro.rescale import RescaleEvent, ScheduledRescale
 from repro.simenv import MetricsSnapshot
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.recovery import CheckpointStat, RecoveryEvent
 
 
 @dataclass
@@ -37,9 +40,9 @@ class RunRecord:
     operator_stats: dict[str, dict[str, Any]] = field(default_factory=dict)
     rescales: list[RescaleEvent] = field(default_factory=list)
     output_hash: str | None = None  # order-independent digest of sink outputs
-    recoveries: list[Any] = field(default_factory=list)  # RecoveryEvent
+    recoveries: list[RecoveryEvent] = field(default_factory=list)
     checkpoints: int = 0
-    checkpoint_stats: list[Any] = field(default_factory=list)  # CheckpointStat
+    checkpoint_stats: list[CheckpointStat] = field(default_factory=list)
     node_stats: dict[str, dict[str, Any]] = field(default_factory=dict)
     group_load: dict[str, Any] = field(default_factory=dict)
 
@@ -97,8 +100,7 @@ class RunRecord:
     def restore_seconds(self) -> float:
         """Simulated time spent restoring checkpoints after crashes."""
         return sum(
-            event.sim_seconds for event in self.recoveries
-            if getattr(event, "kind", "") == "restore"
+            event.sim_seconds for event in self.recoveries if event.kind == "restore"
         )
 
     @property
@@ -108,7 +110,7 @@ class RunRecord:
         failed attempts that degraded are part of the downtime too."""
         return sum(
             event.sim_seconds for event in self.recoveries
-            if getattr(event, "kind", "") in ("restore", "promote", "degraded")
+            if event.kind in ("restore", "promote", "degraded")
         )
 
 
@@ -141,7 +143,6 @@ def run_query(
     cluster: Any = None,
     recovery_mode: str = "restore",
     batch_records: int = 1,
-    batch_bytes: int | None = None,
     prefetch_depth: int = 0,
 ) -> RunRecord:
     """Execute one cell of the evaluation matrix.
@@ -198,7 +199,6 @@ def run_query(
         faults=fault_plan.build() if fault_plan is not None else None,
         cluster=cluster,
         batch_records=batch_records,
-        batch_bytes=batch_bytes,
         prefetch_depth=prefetch_depth,
     )
     record = RunRecord(query=query, backend=backend, window_size=window_size,

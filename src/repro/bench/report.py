@@ -116,33 +116,32 @@ def latency_rows(records: list[RunRecord]) -> list[list[str]]:
     return rows
 
 
-def record_summary(record: Any) -> dict[str, Any]:
+def record_summary(record: RunRecord) -> dict[str, Any]:
     """One benchmark record as a JSON-stable flat dict.
 
-    Works on any :class:`RunRecord`-shaped object; fields that are not
-    present (figures stash extras under ``operator_stats["_sweep"]``)
-    are simply omitted, so the schema is append-only across figures.
+    Optional sections (latency, checkpoints, rescales, recoveries,
+    network, nodes, prefetch, a figure's ``operator_stats["_sweep"]``
+    extras) appear only when the run produced them, so the schema is
+    append-only across figures.
     """
     row: dict[str, Any] = {
-        "query": getattr(record, "query", None),
-        "backend": getattr(record, "backend", None),
-        "window_size": getattr(record, "window_size", None),
-        "ok": getattr(record, "ok", None),
-        "failure": getattr(record, "failure", None),
-        "input_records": getattr(record, "input_records", None),
-        "job_seconds": getattr(record, "job_seconds", None),
-        "throughput": getattr(record, "throughput", None),
-        "results": getattr(record, "results", None),
-        "output_hash": getattr(record, "output_hash", None),
+        "query": record.query,
+        "backend": record.backend,
+        "window_size": record.window_size,
+        "ok": record.ok,
+        "failure": record.failure,
+        "input_records": record.input_records,
+        "job_seconds": record.job_seconds,
+        "throughput": record.throughput,
+        "results": record.results,
+        "output_hash": record.output_hash,
     }
-    if getattr(record, "arrival_rate", None):
+    if record.arrival_rate:
         row["arrival_rate"] = record.arrival_rate
-        row["p95_latency"] = getattr(record, "p95_latency", None)
-    checkpoints = getattr(record, "checkpoints", 0)
-    if checkpoints:
-        row["checkpoints"] = checkpoints
-        row["checkpoint_bytes"] = getattr(record, "checkpoint_bytes", 0)
-        stats = getattr(record, "checkpoint_stats", [])
+        row["p95_latency"] = record.p95_latency
+    if record.checkpoints:
+        row["checkpoints"] = record.checkpoints
+        row["checkpoint_bytes"] = record.checkpoint_bytes
         row["checkpoint_epochs"] = [
             {
                 "epoch": s.epoch,
@@ -151,15 +150,14 @@ def record_summary(record: Any) -> dict[str, Any]:
                 "shards_written": s.shards_written,
                 "shards_reused": s.shards_reused,
             }
-            for s in stats
+            for s in record.checkpoint_stats
         ]
-    rescales = getattr(record, "rescales", [])
-    if rescales:
+    if record.rescales:
         row["rescales"] = [
             {
                 "at_record": e.at_record,
                 "mode": e.mode,
-                "reason": getattr(e, "reason", "scale"),
+                "reason": e.reason,
                 "old_parallelism": e.old_parallelism,
                 "new_parallelism": e.new_parallelism,
                 "moved_groups": e.moved_groups,
@@ -167,33 +165,26 @@ def record_summary(record: Any) -> dict[str, Any]:
                 "seeded_groups": e.seeded_groups,
                 "seeded_bytes": e.seeded_bytes,
                 "aborted": e.aborted,
-                **(
-                    {"hot_groups": list(e.hot_groups)}
-                    if getattr(e, "hot_groups", None)
-                    else {}
-                ),
+                **({"hot_groups": list(e.hot_groups)} if e.hot_groups else {}),
             }
-            for e in rescales
+            for e in record.rescales
         ]
-    recoveries = getattr(record, "recoveries", [])
-    if recoveries:
+    if record.recoveries:
         row["recoveries"] = [
             {"kind": ev.kind, "epoch": ev.epoch, "at_record": ev.at_record}
-            for ev in recoveries
+            for ev in record.recoveries
         ]
     # Cluster runs: network totals and the per-machine utilization map.
     # Zero network bytes on a single node — omitted entirely there.
-    network_bytes = getattr(record, "network_bytes", 0)
-    if network_bytes:
-        row["network_bytes"] = network_bytes
-        row["network_seconds"] = getattr(record, "network_seconds", 0.0)
-    node_stats = getattr(record, "node_stats", {})
-    if node_stats:
-        row["nodes"] = node_stats
+    if record.network_bytes:
+        row["network_bytes"] = record.network_bytes
+        row["network_seconds"] = record.network_seconds
+    if record.node_stats:
+        row["nodes"] = record.node_stats
     # Semantic prefetching: counters plus the io_wait split.  Only
     # present when the run issued any prefetches — the schema stays
     # append-only and depth-0 rows are byte-identical to older builds.
-    metrics = getattr(record, "metrics", None)
+    metrics = record.metrics
     if metrics is not None:
         counters = metrics.counters
         issued = sum(
@@ -213,7 +204,7 @@ def record_summary(record: Any) -> dict[str, Any]:
                 "residual_wait_seconds": residual,
                 "demand_wait_seconds": metrics.io_wait_seconds - residual,
             }
-    sweep = getattr(record, "operator_stats", {}).get("_sweep")
+    sweep = record.operator_stats.get("_sweep")
     if sweep:
         row["sweep"] = {
             k: v for k, v in sweep.items() if isinstance(v, (int, float, str, bool))
@@ -221,16 +212,15 @@ def record_summary(record: Any) -> dict[str, Any]:
     return row
 
 
-def prefetch_counter_columns(record: Any) -> tuple[str, str, str]:
+def prefetch_counter_columns(record: RunRecord) -> tuple[str, str, str]:
     """Prefetch effectiveness: ``(hits, late, wasted)`` counter columns.
 
     Runs that never issued a prefetch (depth 0, or a backend without the
     subsystem) render as ``-``.
     """
-    metrics = getattr(record, "metrics", None)
-    if metrics is None:
+    if record.metrics is None:
         return ("-", "-", "-")
-    counters = metrics.counters
+    counters = record.metrics.counters
     hits = counters.get("prefetch_hits", 0)
     late = counters.get("prefetch_late", 0)
     wasted = counters.get("prefetch_wasted", 0)
@@ -268,16 +258,15 @@ def summary_payload(
     }
 
 
-def lsm_counter_columns(record: Any) -> tuple[str, str]:
+def lsm_counter_columns(record: RunRecord) -> tuple[str, str]:
     """LSM cache/bloom effectiveness: ``(hit ratio, negative rate)``.
 
     Backends that never touched an LSM store (FlowKV, Faster, heap) have
     no such counters and render as ``-``.
     """
-    metrics = getattr(record, "metrics", None)
-    if metrics is None:
+    if record.metrics is None:
         return ("-", "-")
-    counters = metrics.counters
+    counters = record.metrics.counters
     hits = counters.get("lsm_cache_hits", 0)
     misses = counters.get("lsm_cache_misses", 0)
     checks = counters.get("lsm_bloom_checks", 0)

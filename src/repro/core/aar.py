@@ -294,18 +294,14 @@ class AarStore:
     # ------------------------------------------------------------------
     # checkpointing (§8)
     # ------------------------------------------------------------------
-    def snapshot(self, upload_env=None):
-        """Flush, then capture per-window log files + window metadata.
-
-        With ``upload_env`` the file copies are charged asynchronously to
-        that environment (§8); only the flush blocks this store.
-        """
+    def snapshot(self):
+        """Flush, then capture per-window log files + window metadata."""
         from repro.snapshot import StoreSnapshot, copy_files_out, pack_meta, seal_snapshot
 
         self._check_open()
         self.flush()
         meta = pack_meta(self._env, {"flushed_windows": set(self._flushed_windows)})
-        files = copy_files_out(self._env, self._fs, self._name + "/", upload_env)
+        files = copy_files_out(self._fs, self._name + "/")
         return seal_snapshot(self._env, StoreSnapshot("aar", meta, files))
 
     def restore(self, snapshot) -> None:

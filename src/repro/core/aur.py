@@ -747,13 +747,11 @@ class AurStore:
     # ------------------------------------------------------------------
     # checkpointing (§8)
     # ------------------------------------------------------------------
-    def snapshot(self, upload_env=None):
+    def snapshot(self):
         """Flush, then capture logs + Stat/segment metadata.
 
         The prefetch buffer is deliberately dropped — it is a cache and
         will repopulate through predictive batch reads after recovery.
-        With ``upload_env`` the file copies are charged asynchronously to
-        that environment (§8); only the flush blocks this store.
         """
         from repro.snapshot import StoreSnapshot, copy_files_out, pack_meta, seal_snapshot
 
@@ -778,7 +776,7 @@ class AurStore:
                 "entry_seq": self._entry_seq,
             },
         )
-        files = copy_files_out(self._env, self._fs, self._name + "/", upload_env)
+        files = copy_files_out(self._fs, self._name + "/")
         return seal_snapshot(self._env, StoreSnapshot("aur", meta, files))
 
     def restore(self, snapshot) -> None:

@@ -225,17 +225,13 @@ class FlowKVComposite(WindowStateBackend):
         for store in self._instances:
             store.flush()
 
-    def snapshot(self, upload_env=None):
-        """Checkpoint all ``m`` instances (§8, Fault Tolerance).
-
-        With ``upload_env`` the file transfers are charged to that
-        environment (asynchronous upload) rather than the store's clock.
-        """
+    def snapshot(self):
+        """Checkpoint all ``m`` instances (§8, Fault Tolerance)."""
         import zlib
 
         from repro.snapshot import StoreSnapshot
 
-        parts = [store.snapshot(upload_env=upload_env) for store in self._instances]
+        parts = [store.snapshot() for store in self._instances]
         meta = pickle.dumps(
             [(part.kind, part.meta) for part in parts],
             protocol=pickle.HIGHEST_PROTOCOL,

@@ -357,7 +357,7 @@ class RmwStore:
     # ------------------------------------------------------------------
     # checkpointing (§8)
     # ------------------------------------------------------------------
-    def snapshot(self, upload_env=None):
+    def snapshot(self):
         """Spill every hot aggregate, then capture logs + hash index.
 
         Spill-first matches the paper's prescription (and Flink's
@@ -384,7 +384,7 @@ class RmwStore:
                 "live_data_bytes": self._live_data_bytes,
             },
         )
-        files = copy_files_out(self._env, self._fs, self._name + "/", upload_env)
+        files = copy_files_out(self._fs, self._name + "/")
         return seal_snapshot(self._env, StoreSnapshot("rmw", meta, files))
 
     def restore(self, snapshot) -> None:

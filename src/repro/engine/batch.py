@@ -25,7 +25,7 @@ from repro.model import StreamRecord
 
 
 def record_bytes(value: Any) -> int:
-    """Cheap per-record payload estimate for the ``max_batch_bytes`` knob."""
+    """Cheap per-record payload estimate for per-group load accounting."""
     if hasattr(value, "payload_bytes"):
         return int(value.payload_bytes)
     if isinstance(value, (bytes, bytearray, str)):

@@ -180,9 +180,6 @@ class StreamEnvironment:
             Python overhead while charging the simulated ledger
             identically per record.  Latency mode (``arrival_rate``)
             always runs per-tuple.
-        max_batch_bytes: optional byte budget per batch (estimated
-            payload bytes); a batch flushes early when either limit is
-            reached.  ``None`` means records-only batching.
         prefetch_depth: per-instance budget of in-flight background
             state prefetches.  Window operators hint upcoming trigger
             reads (and, on stores whose appends read old state, upcoming
@@ -204,19 +201,15 @@ class StreamEnvironment:
         faults: Any = None,
         cluster: Any = None,
         max_batch_records: int = 1,
-        max_batch_bytes: int | None = None,
         prefetch_depth: int = 0,
     ) -> None:
         if parallelism < 1 or workers < 1:
             raise PlanError("parallelism and workers must be >= 1")
         if max_batch_records < 1:
             raise PlanError("max_batch_records must be >= 1")
-        if max_batch_bytes is not None and max_batch_bytes < 1:
-            raise PlanError("max_batch_bytes must be >= 1 or None")
         if prefetch_depth < 0:
             raise PlanError("prefetch_depth must be >= 0")
         self.max_batch_records = max_batch_records
-        self.max_batch_bytes = max_batch_bytes
         self.prefetch_depth = prefetch_depth
         self.max_key_groups = max_key_groups
         validate_parallelism(parallelism * workers, max_key_groups)

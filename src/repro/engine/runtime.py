@@ -385,7 +385,6 @@ class Executor:
         # Latency mode needs the per-record arrival axis, so batching is
         # a throughput-mode-only optimization.
         batch_limit = 1 if arrival_rate else max(1, self._plan.max_batch_records)
-        byte_limit = self._plan.max_batch_bytes
         # Source rows buffered for batched delivery.  Three invariants
         # keep a batched run equivalent to record-at-a-time execution:
         # a watermark due mid-batch flushes the partial batch *before*
@@ -396,7 +395,6 @@ class Executor:
         # and batches split at key-group boundaries on delivery, so each
         # instance still sees exactly its own records, in arrival order.
         pending: list[tuple[LogicalNode, Any, float, int]] = []
-        pending_bytes = 0
         boundary_args = (
             arrival_rate, watermark_delay, sim_timeout, overload_backlog,
             rescale_policy, checkpointer, faults,
@@ -422,8 +420,6 @@ class Executor:
                     )
                 else:
                     pending.append((source_node, value, timestamp, origin))
-                    if byte_limit is not None:
-                        pending_bytes += record_bytes(value)
                 count += 1
                 self.records_ingested = count
                 if timestamp > max_ts:
@@ -434,15 +430,11 @@ class Executor:
                     self._live.advance(arrival)
                     if self._live.done:
                         self._live = None
-                if len(pending) >= batch_limit or (
-                    byte_limit is not None and pending_bytes >= byte_limit
-                ):
+                if len(pending) >= batch_limit:
                     self._flush_pending(pending, arrival)
-                    pending_bytes = 0
                 if count % watermark_interval == 0:
                     if pending:
                         self._flush_pending(pending, arrival)
-                        pending_bytes = 0
                     self._watermark_boundary(count, max_ts, arrival, *boundary_args)
             if pending:
                 self._flush_pending(pending, arrival)

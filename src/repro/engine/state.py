@@ -274,8 +274,8 @@ class GenericKVBackend(WindowStateBackend):
     def flush(self) -> None:
         self._store.flush()
 
-    def snapshot(self, upload_env=None):
-        return self._store.snapshot(upload_env=upload_env)
+    def snapshot(self):
+        return self._store.snapshot()
 
     def restore(self, snapshot) -> None:
         self._store.restore(snapshot)

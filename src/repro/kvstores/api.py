@@ -404,10 +404,9 @@ class KVStore(ABC):
 
     # --- checkpointing (§8, Fault Tolerance) ----------------------------
     @abstractmethod
-    def snapshot(self, upload_env=None):
+    def snapshot(self):
         """Capture a sealed :class:`repro.snapshot.StoreSnapshot` (buffered
-        writes flushed first; ``upload_env`` takes the file-copy charges
-        of an asynchronous upload)."""
+        writes flushed first)."""
 
     @abstractmethod
     def restore(self, snapshot) -> None:

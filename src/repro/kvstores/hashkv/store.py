@@ -394,7 +394,7 @@ class FasterStore(KVStore):
     # checkpointing (§8): index + resident tail captured in meta, the
     # spilled log file copied byte-exact.
     # ------------------------------------------------------------------
-    def snapshot(self, upload_env=None):
+    def snapshot(self):
         from repro.snapshot import StoreSnapshot, copy_files_out, pack_meta, seal_snapshot
 
         self._check_open()
@@ -413,7 +413,7 @@ class FasterStore(KVStore):
                 "disk_generation": self._disk_generation,
             },
         )
-        files = copy_files_out(self._env, self._fs, self._name + "/", upload_env)
+        files = copy_files_out(self._fs, self._name + "/")
         return seal_snapshot(self._env, StoreSnapshot("faster", meta, files))
 
     def restore(self, snapshot) -> None:

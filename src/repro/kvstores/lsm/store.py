@@ -334,11 +334,11 @@ class LsmStore(KVStore):
 
         self._new_outputs: list[SSTableReader] = []
         batch: list[Entry] = []
-        batch_bytes = 0
+        output_bytes = 0
         last_key: bytes | None = None
 
         def flush_batch() -> None:
-            nonlocal batch, batch_bytes
+            nonlocal batch, output_bytes
             if not batch:
                 return
             writer = SSTableWriter(
@@ -353,13 +353,13 @@ class LsmStore(KVStore):
             if reader is not None:
                 self._new_outputs.append(reader)
             batch = []
-            batch_bytes = 0
+            output_bytes = 0
 
         for entry in collapsed:
-            if batch_bytes >= self._config.max_file_bytes and entry.key != last_key:
+            if output_bytes >= self._config.max_file_bytes and entry.key != last_key:
                 flush_batch()
             batch.append(entry)
-            batch_bytes += len(entry.key) + len(entry.value) + 16
+            output_bytes += len(entry.key) + len(entry.value) + 16
             last_key = entry.key
         flush_batch()
 
@@ -510,45 +510,30 @@ class LsmStore(KVStore):
     # checkpointing (§8): Flink forces the memtable to disk before the
     # snapshot so that SSTables can be uploaded asynchronously.
     # ------------------------------------------------------------------
-    def snapshot(self, base=None, upload_env=None):
-        """Checkpoint the store; incremental against ``base`` if given.
-
-        SSTables are immutable, so an incremental checkpoint (Flink's
-        incremental checkpointing on RocksDB, which the paper §8 points
-        to) only copies files absent from the base snapshot and records
-        the names it re-uses — recovery resolves them from the base.
-        """
+    def snapshot(self):
+        """Checkpoint the store: flush, then copy every SSTable out."""
         from repro.snapshot import StoreSnapshot, copy_files_out, pack_meta, seal_snapshot
 
         self._check_open()
         self.flush()
         live_names = [[t.name for t in level] for level in self._levels]
-        if base is not None:
-            # Only new files are read and uploaded; unchanged SSTables are
-            # referenced by name (no local read — the incremental saving).
-            current = self._fs.list_files(self._name + "/")
-            reused = [name for name in current if name in base.files]
-            files = {
-                name: self._fs.read(name)
-                for name in current
-                if name not in base.files
-            }
-        else:
-            reused = []
-            files = copy_files_out(self._env, self._fs, self._name + "/", upload_env)
+        files = copy_files_out(self._fs, self._name + "/")
         meta = pack_meta(
             self._env,
             {
                 "seq": self._seq,
                 "file_counter": self._file_counter,
                 "levels": live_names,
-                "reused": reused,
+                # Retired incremental-snapshot field, always empty.  It stays
+                # so the meta blob, and with it every serde/CRC charge and
+                # checkpoint byte count, is unchanged; restore ignores it.
+                "reused": [],
             },
         )
         return seal_snapshot(self._env, StoreSnapshot("lsm", meta, files))
 
-    def restore(self, snapshot, base=None) -> None:
-        """Load a (possibly incremental) snapshot into this fresh store."""
+    def restore(self, snapshot) -> None:
+        """Load a snapshot into this fresh store."""
         from repro.errors import StoreRestoreError
         from repro.snapshot import copy_files_in, unpack_meta, verify_snapshot
 
@@ -557,17 +542,7 @@ class LsmStore(KVStore):
         if self._memtable.entry_count or any(self._levels):
             raise StoreRestoreError(f"restore into non-empty lsm store {self._name}")
         state = unpack_meta(self._env, snapshot.meta)
-        files = dict(snapshot.files)
-        for name in state.get("reused", []):
-            if name in files:
-                continue
-            if base is None or name not in base.files:
-                raise StoreClosedError(
-                    f"incremental snapshot references {name} but no base "
-                    "snapshot provides it"
-                )
-            files[name] = base.files[name]
-        copy_files_in(self._env, self._fs, files)
+        copy_files_in(self._env, self._fs, snapshot.files)
         self._seq = state["seq"]
         self._file_counter = state["file_counter"]
         # Re-open every SSTable: recovery pays the footer/index/bloom reads.

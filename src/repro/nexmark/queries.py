@@ -318,7 +318,6 @@ def build_query(
     faults: Any = None,
     cluster: Any = None,
     batch_records: int = 1,
-    batch_bytes: int | None = None,
     prefetch_depth: int = 0,
 ) -> StreamEnvironment:
     """Construct a ready-to-execute environment for one query.
@@ -329,7 +328,7 @@ def build_query(
     ``window_size * SESSION_GAP_FRACTION``.  ``cluster`` (a
     :class:`repro.cluster.ClusterTopology`) spreads the physical
     instances over simulated machines with a network between them.
-    ``batch_records`` / ``batch_bytes`` size the columnar record batches
+    ``batch_records`` sizes the columnar record batches
     on the hot path (1 = exact per-tuple execution; simulated charges
     are per-record identical at any size).  ``prefetch_depth`` enables
     semantic state prefetching on the disk backends (0 = off,
@@ -345,8 +344,7 @@ def build_query(
     env = StreamEnvironment(
         parallelism=parallelism, backend_factory=backend_factory, workers=workers,
         cpu=cpu, ssd=ssd, faults=faults, cluster=cluster,
-        max_batch_records=batch_records, max_batch_bytes=batch_bytes,
-        prefetch_depth=prefetch_depth,
+        max_batch_records=batch_records, prefetch_depth=prefetch_depth,
     )
     source = env.from_source(generate_events(generator_config), name="nexmark")
     gap = session_gap if session_gap is not None else window_size * SESSION_GAP_FRACTION

@@ -55,6 +55,8 @@ from repro.snapshot import (
 from repro.storage.filesystem import SimFileSystem
 
 _CHK_ROOT = "chk"
+# A job recovers from at most this many failures; the next one propagates.
+MAX_RESTARTS = 8
 
 
 def _epoch_dir(epoch: int) -> str:
@@ -207,7 +209,6 @@ class CheckpointStorage:
         snap = StoreSnapshot(manifest["stores"][key], meta, files)
         snap.checksums = checksums
         snap.meta_crc = zlib.crc32(meta)
-        snap.epoch = epoch
         return snap
 
 
@@ -583,8 +584,6 @@ class RecoveryManager:
         self,
         plan_env: StreamEnvironment,
         checkpoint_interval: int,
-        storage: CheckpointStorage | None = None,
-        max_restarts: int = 8,
         incremental: bool = True,
         full_snapshot_interval: int = 4,
         retained_epochs: int | None = None,
@@ -594,20 +593,18 @@ class RecoveryManager:
             raise PlanError(f"unknown recovery mode {mode!r}")
         self.plan = plan_env
         self.mode = mode
-        if storage is None:
-            env = SimEnv(cpu=plan_env.cpu, ssd=plan_env.ssd, faults=plan_env.faults)
-            cluster = getattr(plan_env, "cluster", None)
-            if cluster is not None and cluster.n_nodes > 1:
-                # Checkpoints live on the workers' disks: replica-placed,
-                # node failures destroy local replicas, remote shards are
-                # fetched from peers.  (Imported lazily: the storage
-                # module depends on this one.)
-                from repro.cluster.storage import ClusterCheckpointStorage
+        env = SimEnv(cpu=plan_env.cpu, ssd=plan_env.ssd, faults=plan_env.faults)
+        cluster = getattr(plan_env, "cluster", None)
+        if cluster is not None and cluster.n_nodes > 1:
+            # Checkpoints live on the workers' disks: replica-placed,
+            # node failures destroy local replicas, remote shards are
+            # fetched from peers.  (Imported lazily: the storage
+            # module depends on this one.)
+            from repro.cluster.storage import ClusterCheckpointStorage
 
-                storage = ClusterCheckpointStorage(env, cluster)
-            else:
-                storage = CheckpointStorage(env)
-        self.storage = storage
+            self.storage: CheckpointStorage = ClusterCheckpointStorage(env, cluster)
+        else:
+            self.storage = CheckpointStorage(env)
         self.checkpointer = Checkpointer(
             self.storage,
             checkpoint_interval,
@@ -615,7 +612,6 @@ class RecoveryManager:
             full_snapshot_interval=full_snapshot_interval,
             retained_epochs=retained_epochs,
         )
-        self.max_restarts = max_restarts
         self.recoveries: list[RecoveryEvent] = []
         # Hot-standby lane: changelog replication only exists in standby
         # mode on a real multi-node cluster — otherwise the default
@@ -685,7 +681,7 @@ class RecoveryManager:
                         )
                     )
                 restarts += 1
-                if restarts > self.max_restarts:
+                if restarts > MAX_RESTARTS:
                     raise
                 # The failure time, for the standbys' ``ready_at`` stamps:
                 # independent clock domains, but a healthy link finishes

@@ -52,6 +52,7 @@ from repro.rescale.migration import (
     GroupCutover,
     NodeMigration,
     RescaleEvent,
+    _split_operator_state,
     _transfer,
 )
 from repro.simenv import CAT_RECOVERY
@@ -64,38 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # Per-(node, key-group) bound on records buffered while the group is in
 # transit; hitting it forces the group's cutover (backpressure).
 DEFAULT_QUEUE_LIMIT = 256
-
-
-def _split_state_by_group(
-    state: dict[str, Any], kg_of, groups: set[int]
-) -> dict[int, dict[str, Any]]:
-    """Partition exported operator metadata per key-group.
-
-    Keyed pieces follow their key's group; ``pending_aligned`` windows
-    and the max timestamp are replicated to every group (key-independent
-    trigger metadata — importing them twice is idempotent).
-    """
-    parts = {
-        group: {
-            "sessions": {},
-            "window_keys": [],
-            "count_state": {},
-            "pending_aligned": set(state["pending_aligned"]),
-            "max_timestamp": state["max_timestamp"],
-        }
-        for group in groups
-    }
-    for key, sessions in state["sessions"].items():
-        parts[kg_of(key)]["sessions"][key] = sessions
-    for window, keys in state["window_keys"]:
-        per_group: dict[int, set[bytes]] = {}
-        for key in keys:
-            per_group.setdefault(kg_of(key), set()).add(key)
-        for group, moved in per_group.items():
-            parts[group]["window_keys"].append((window, moved))
-    for key, value in state["count_state"].items():
-        parts[kg_of(key)]["count_state"][key] = value
-    return parts
 
 
 class LiveMigration:
@@ -267,7 +236,7 @@ class LiveMigration:
                 self._bump(source, arrival, elapsed)
                 self._streams[(node.node_id, src)] = stream
                 self._queues[(node.node_id, src)] = deque(stream.groups())
-                for group, piece in _split_state_by_group(
+                for group, piece in _split_operator_state(
                     state, self._kg_of, groups
                 ).items():
                     self._pieces[(node.node_id, group)] = piece

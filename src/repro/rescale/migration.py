@@ -13,6 +13,7 @@ phase runs across instances in parallel), summed over stateful operators
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -170,34 +171,36 @@ def _transfer(env: Any, label: str, payload_bytes: int, n_entries: int, faults: 
 
 
 def _split_operator_state(
-    state: dict[str, Any], destination_of, destinations: list[int]
+    state: dict[str, Any], part_of, part_ids: Iterable[int]
 ) -> dict[int, dict[str, Any]]:
-    """Partition exported operator metadata by destination instance.
+    """Partition exported operator metadata by ``part_of(key)``.
 
-    Keyed pieces (sessions, window keys, count ordinals) follow their
-    key; ``pending_aligned`` windows and the max timestamp are replicated
-    to every destination (both are key-independent trigger metadata).
+    A part is a destination instance (stop-the-world) or a key-group
+    (live).  Keyed pieces (sessions, window keys, count ordinals) follow
+    their key; ``pending_aligned`` windows and the max timestamp are
+    replicated to every part (both are key-independent trigger metadata;
+    importing them twice is idempotent).
     """
     parts = {
-        dst: {
+        part: {
             "sessions": {},
             "window_keys": [],
             "count_state": {},
             "pending_aligned": set(state["pending_aligned"]),
             "max_timestamp": state["max_timestamp"],
         }
-        for dst in destinations
+        for part in part_ids
     }
     for key, sessions in state["sessions"].items():
-        parts[destination_of(key)]["sessions"][key] = sessions
+        parts[part_of(key)]["sessions"][key] = sessions
     for window, keys in state["window_keys"]:
-        per_dst: dict[int, set[bytes]] = {}
+        per_part: dict[int, set[bytes]] = {}
         for key in keys:
-            per_dst.setdefault(destination_of(key), set()).add(key)
-        for dst, moved in per_dst.items():
-            parts[dst]["window_keys"].append((window, moved))
+            per_part.setdefault(part_of(key), set()).add(key)
+        for part, moved in per_part.items():
+            parts[part]["window_keys"].append((window, moved))
     for key, value in state["count_state"].items():
-        parts[destination_of(key)]["count_state"][key] = value
+        parts[part_of(key)]["count_state"][key] = value
     return parts
 
 

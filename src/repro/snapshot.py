@@ -54,7 +54,6 @@ class StoreSnapshot:
     files: dict[str, bytes] = field(default_factory=dict)
     checksums: dict[str, tuple[int, int]] | None = None  # name -> (length, crc32)
     meta_crc: int | None = None
-    epoch: int | None = None  # checkpoint epoch stamped by the Checkpointer
 
     @property
     def total_bytes(self) -> int:
@@ -168,32 +167,9 @@ def unpack_meta(env: SimEnv, data: bytes) -> Any:
     return pickle.loads(data)
 
 
-def copy_files_out(
-    env: SimEnv,
-    fs: SimFileSystem,
-    prefix: str,
-    upload_env: SimEnv | None = None,
-) -> dict[str, bytes]:
-    """Read every file under ``prefix`` (the upload's local read).
-
-    With ``upload_env`` the read time is charged to that environment
-    instead of the store's — the §8 *asynchronous* checkpoint transfer:
-    only the flush blocks tuple processing; the file copy proceeds on the
-    uploader's clock.
-    """
-    files: dict[str, bytes] = {}
-    if upload_env is None:
-        for name in fs.list_files(prefix):
-            files[name] = fs.read(name, category=CAT_STORE_READ)
-        return files
-    # Async path: account device time and bytes on the uploader's ledger
-    # without touching the store's clock.
-    for name in fs.list_files(prefix):
-        size = fs.size(name)
-        upload_env.charge_cpu(CAT_STORE_READ, upload_env.cpu.syscall)
-        upload_env.charge_read(size)
-        files[name] = fs.read_uncharged(name)
-    return files
+def copy_files_out(fs: SimFileSystem, prefix: str) -> dict[str, bytes]:
+    """Read every file under ``prefix`` (the upload's local read)."""
+    return {name: fs.read(name, category=CAT_STORE_READ) for name in fs.list_files(prefix)}
 
 
 def copy_files_in(env: SimEnv, fs: SimFileSystem, files: dict[str, bytes]) -> None:

@@ -122,17 +122,6 @@ class SimFileSystem:
         self._env.charge_read(len(data))
         return data
 
-    def read_uncharged(self, name: str) -> bytes:
-        """Raw file contents without charging this env.
-
-        Only for callers that account the access elsewhere (asynchronous
-        checkpoint uploads charge the uploader's environment instead).
-        """
-        try:
-            return bytes(self._files[name])
-        except KeyError:
-            raise FileNotFoundInStoreError(name) from None
-
     def zero_copy_transfer(
         self,
         src: str,

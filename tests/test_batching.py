@@ -7,7 +7,7 @@ The batch API's contract (DESIGN.md, Batched hot path) has three legs:
    and the same counters as the per-tuple run.  Batching buys real
    wall-clock time only.
 2. **Boundary invariance** — batch boundaries are an artifact of the
-   ingest loop (record limit, byte limit, watermark splits) and must
+   ingest loop (record limit, watermark splits) and must
    never show through: a watermark due mid-batch flushes the partial
    batch first so timer firing order is identical.
 3. **Write-batch atomicity** — ``write_batch()`` stages ops and commits
@@ -95,12 +95,6 @@ class TestCrossBackendEquivalence:
         batched = run_query(PROFILE, query, "flowkv", WINDOW, batch_records=64)
         assert fingerprint(batched) == per_tuple_baseline(query, "flowkv")
 
-    def test_byte_limit_only_changes_nothing(self):
-        batched = run_query(
-            PROFILE, "q7", "flowkv", WINDOW, batch_records=10**9, batch_bytes=4096
-        )
-        assert fingerprint(batched) == per_tuple_baseline("q7", "flowkv")
-
     def test_latency_mode_ignores_batch_knob(self):
         # Open-loop (arrival_rate) runs are per-tuple by contract: the
         # batch knob must be inert, including on the latency percentiles.
@@ -120,19 +114,14 @@ class TestCrossBackendEquivalence:
     def test_batch_knob_is_validated(self):
         with pytest.raises(PlanError):
             StreamEnvironment(max_batch_records=0)
-        with pytest.raises(PlanError):
-            StreamEnvironment(max_batch_bytes=0)
 
 
 # ----------------------------------------------------------------------
 # Leg 2: boundary invariance
 # ----------------------------------------------------------------------
-def _two_stage_plan(batch: int, byte_limit: int | None = None) -> StreamEnvironment:
+def _two_stage_plan(batch: int) -> StreamEnvironment:
     env = StreamEnvironment(
-        parallelism=2,
-        backend_factory=memory_backend(),
-        max_batch_records=batch,
-        max_batch_bytes=byte_limit,
+        parallelism=2, backend_factory=memory_backend(), max_batch_records=batch
     )
     source = env.from_source([((f"k{i % 7}", i), float(i)) for i in range(80)])
     keyed = source.key_by(lambda v: v[0].encode())
@@ -158,18 +147,15 @@ class TestBatchBoundaryPlacement:
     @given(
         batch=st.integers(min_value=2, max_value=41),
         interval=st.integers(min_value=3, max_value=17),
-        byte_limit=st.one_of(st.none(), st.integers(min_value=64, max_value=2048)),
     )
     @settings(max_examples=20, deadline=None)
-    def test_any_boundary_placement_is_equivalent(self, batch, interval, byte_limit):
-        # Record limit, watermark interval, and byte limit jointly place
-        # the batch boundaries; none of the placements may show through.
-        # (record_bytes estimates ~64 B/record, so byte_limit=64..2048
-        # flushes every 1..32 records — including mid-watermark-interval.)
+    def test_any_boundary_placement_is_equivalent(self, batch, interval):
+        # Record limit and watermark interval jointly place the batch
+        # boundaries; none of the placements may show through.
         if interval not in _PROP_BASELINES:
             result = _two_stage_plan(1).execute(watermark_interval=interval)
             _PROP_BASELINES[interval] = _result_fingerprint(result)
-        batched = _two_stage_plan(batch, byte_limit).execute(
+        batched = _two_stage_plan(batch).execute(
             watermark_interval=interval
         )
         assert _result_fingerprint(batched) == _PROP_BASELINES[interval]

@@ -143,62 +143,3 @@ class TestReport:
         rows = latency_rows([record])
         assert rows[0][-1] == "500.0 ms"
 
-
-class TestBenchSmoke:
-    """The CI wall-clock regression gate (repro.bench.smoke)."""
-
-    def test_clean_pass(self):
-        from repro.bench.smoke import compare
-
-        failures, report = compare(
-            {"fig4": 1.0, "fig8": 2.0}, {"fig4": 1.0, "fig8": 2.0}
-        )
-        assert failures == []
-        assert len(report) == 2
-
-    def test_single_figure_regression_fails(self):
-        from repro.bench.smoke import compare
-
-        failures, _ = compare(
-            {"fig4": 1.0, "fig8": 2.0, "fig9": 5.0},
-            {"fig4": 1.0, "fig8": 2.0, "fig9": 3.0},
-            threshold=0.25,
-        )
-        assert len(failures) == 1
-        assert failures[0].startswith("fig9:")
-
-    def test_uniformly_slower_machine_passes_normalized(self):
-        from repro.bench.smoke import compare
-
-        # Everything 2x slower: a different machine, not a regression.
-        failures, _ = compare(
-            {"fig4": 2.0, "fig8": 4.0, "fig9": 6.0},
-            {"fig4": 1.0, "fig8": 2.0, "fig9": 3.0},
-        )
-        assert failures == []
-
-    def test_uniformly_slower_machine_fails_absolute(self):
-        from repro.bench.smoke import compare
-
-        failures, _ = compare(
-            {"fig4": 2.0, "fig8": 4.0}, {"fig4": 1.0, "fig8": 2.0},
-            absolute=True,
-        )
-        assert len(failures) == 2
-
-    def test_new_and_missing_figures_reported_not_failed(self):
-        from repro.bench.smoke import compare
-
-        failures, report = compare({"new_fig": 1.0}, {"old_fig": 1.0})
-        assert failures == []
-        assert any("new figure" in line for line in report)
-        assert any("missing" in line for line in report)
-
-    def test_elapsed_extraction_skips_untimed_figures(self):
-        from repro.bench.smoke import elapsed_by_figure
-
-        summary = {"figures": {
-            "fig4": {"elapsed_seconds": 1.5, "rows": []},
-            "untimed": {"rows": []},
-        }}
-        assert elapsed_by_figure(summary) == {"fig4": 1.5}

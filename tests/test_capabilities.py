@@ -21,15 +21,20 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.bench.harness import run_query
 from repro.core import FlowKVComposite
 from repro.core.patterns import StorePattern
+from repro.engine import StreamEnvironment
 from repro.engine.joins import JoinStateBackend
+from repro.engine.runtime import Executor
 from repro.engine.state import GenericKVBackend
 from repro.kvstores.api import KVStore, StateExport, WindowStateBackend
 from repro.model import GLOBAL_WINDOW
 from repro.kvstores.hashkv import FasterStore
 from repro.kvstores.lsm import LsmStore
 from repro.kvstores.memory import HeapWindowBackend
+from repro.nexmark.queries import build_query
+from repro.recovery import RecoveryManager
 from repro.simenv import SimEnv
 from repro.storage import SimFileSystem
 
@@ -131,7 +136,7 @@ class BareStore(KVStore):
     def memory_bytes(self):
         return 0
 
-    def snapshot(self, upload_env=None):
+    def snapshot(self):
         return None
 
     def restore(self, snapshot):
@@ -281,6 +286,14 @@ def _public_names(cls):
     return {name for name in vars(cls) if not name.startswith("_")}
 
 
+def _repro_classes():
+    for module_info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(module_info.name)
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__:
+                yield f"{module.__name__}.{name}", cls
+
+
 class TestSurfacePin:
     """The store API is the pattern calls of the paper's Listing 1 plus
     lifecycle, hints and the state-movement contract — growing it again
@@ -308,14 +321,11 @@ class TestSurfacePin:
         }
 
     def test_no_concrete_class_has_two_append_bodies(self):
-        doubled = []
-        for module_info in pkgutil.walk_packages(repro.__path__, "repro."):
-            module = importlib.import_module(module_info.name)
-            for name, cls in inspect.getmembers(module, inspect.isclass):
-                if cls.__module__ != module.__name__ or inspect.isabstract(cls):
-                    continue
-                if {"append", "multi_append"} <= set(vars(cls)):
-                    doubled.append(f"{module.__name__}.{name}")
+        doubled = [
+            name for name, cls in _repro_classes()
+            if not inspect.isabstract(cls)
+            and {"append", "multi_append"} <= set(vars(cls))
+        ]
         assert doubled == []
 
     def test_no_private_executor_reach_outside_engine(self):
@@ -332,3 +342,74 @@ class TestSurfacePin:
             if reach.search(line)
         ]
         assert hits == []
+
+
+def _parameters(fn) -> set[str]:
+    return set(inspect.signature(fn).parameters) - {"self"}
+
+
+class TestOptionPin:
+    """Every option of the plan, the query builder, the run driver, the
+    executor loop and the recovery manager — and the bare whole-store
+    checkpoint calls.  A new knob is a deliberate act that edits these
+    sets."""
+
+    def test_stream_environment_options(self):
+        assert _parameters(StreamEnvironment.__init__) == {
+            "parallelism", "backend_factory", "cpu", "ssd", "workers",
+            "max_key_groups", "faults", "cluster", "max_batch_records",
+            "prefetch_depth",
+        }
+
+    def test_build_query_options(self):
+        assert _parameters(build_query) == {
+            "name", "backend_factory", "generator_config", "window_size",
+            "parallelism", "workers", "session_gap", "cost_scale", "faults",
+            "cluster", "batch_records", "prefetch_depth",
+        }
+
+    def test_run_query_options(self):
+        assert _parameters(run_query) == {
+            "profile", "query", "backend", "window_size", "sim_timeout",
+            "arrival_rate", "duration", "events_per_second", "seed",
+            "flowkv_overrides", "workers", "session_gap", "parallelism",
+            "rescale_schedule", "rescale_policy", "fault_plan",
+            "checkpoint_interval", "rescale_mode", "transfer_chunk_bytes",
+            "transfer_queue_limit", "incremental_checkpoints",
+            "full_snapshot_interval", "retained_epochs",
+            "seed_rescale_from_checkpoint", "generator_overrides", "cluster",
+            "recovery_mode", "batch_records", "prefetch_depth",
+        }
+
+    def test_executor_run_options(self):
+        assert _parameters(Executor.run) == {
+            "arrival_rate", "watermark_interval", "sim_timeout",
+            "overload_backlog", "watermark_delay", "rescale_policy", "records",
+            "start_count", "start_max_ts", "checkpointer", "rescale_mode",
+            "transfer_chunk_bytes", "transfer_queue_limit",
+            "seed_rescale_from_checkpoint",
+        }
+
+    def test_recovery_manager_options(self):
+        assert _parameters(RecoveryManager.__init__) == {
+            "plan_env", "checkpoint_interval", "incremental",
+            "full_snapshot_interval", "retained_epochs", "mode",
+        }
+
+    def test_every_snapshot_takes_no_argument(self):
+        found = {
+            name: _parameters(cls.snapshot)
+            for name, cls in _repro_classes() if "snapshot" in vars(cls)
+        }
+        assert {"repro.kvstores.lsm.store.LsmStore", "repro.core.aar.AarStore"} <= set(found)
+        assert {name: params for name, params in found.items() if params} == {}
+
+    def test_every_restore_takes_only_the_snapshot(self):
+        found = {
+            name: _parameters(cls.restore)
+            for name, cls in _repro_classes() if "restore" in vars(cls)
+        }
+        assert {"repro.kvstores.lsm.store.LsmStore", "repro.core.aar.AarStore"} <= set(found)
+        assert {
+            name: params for name, params in found.items() if params != {"snapshot"}
+        } == {}

@@ -225,6 +225,8 @@ class TestBaselineStoreSnapshots:
         for i in range(10):
             store.append(f"lst{i}".encode(), f"e{i}".encode())
         snapshot = store.snapshot()
+        # A whole-store snapshot carries every SSTable itself.
+        assert set(snapshot.files) == set(fs.list_files("lsm/"))
 
         env2, fs2 = fresh()
         recovered = LsmStore(env2, fs2, "lsm", config)

@@ -30,7 +30,7 @@ class TestFileCopy:
         fs.append("store/a.log", b"alpha")
         fs.append("store/b.log", b"beta")
         fs.append("other/c.log", b"gamma")
-        files = copy_files_out(env, fs, "store/")
+        files = copy_files_out(fs, "store/")
         assert set(files) == {"store/a.log", "store/b.log"}
 
         env2 = SimEnv()
@@ -47,17 +47,8 @@ class TestFileCopy:
     def test_copy_out_charges_reads(self, env, fs):
         fs.append("store/a.log", b"x" * 4096)
         before = env.ledger.bytes_read
-        copy_files_out(env, fs, "store/")
+        copy_files_out(fs, "store/")
         assert env.ledger.bytes_read - before == 4096
-
-    def test_async_copy_charges_uploader_not_store(self, env, fs):
-        fs.append("store/a.log", b"x" * 4096)
-        uploader = SimEnv()
-        store_clock_before = env.now
-        files = copy_files_out(env, fs, "store/", upload_env=uploader)
-        assert files["store/a.log"] == b"x" * 4096
-        assert env.now == store_clock_before  # store clock untouched
-        assert uploader.ledger.bytes_read == 4096
 
 
 class TestStoreSnapshot:
