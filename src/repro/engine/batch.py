@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.model import StreamRecord
-
 
 def record_bytes(value: Any) -> int:
     """Cheap per-record payload estimate for per-group load accounting."""
@@ -38,8 +36,7 @@ class RecordBatch:
 
     ``origins[i]`` is the cluster node record ``i`` currently lives on
     (its ingest node, or the node of the instance that emitted it) —
-    the same routing input the per-tuple path threads through
-    ``Executor._handle``.
+    the same routing input the per-record routes take as ``origin``.
     """
 
     __slots__ = ("keys", "values", "timestamps", "origins")
@@ -79,16 +76,3 @@ class RecordBatch:
     def with_keys(self, keys: list[bytes]) -> "RecordBatch":
         """Same rows with the key column replaced (key_by)."""
         return RecordBatch(keys, self.values, self.timestamps, self.origins)
-
-    def record(self, i: int) -> StreamRecord:
-        """Materialize row ``i`` as a boxed record."""
-        return StreamRecord(self.keys[i], self.values[i], self.timestamps[i])
-
-    def iter_rows(self):
-        """Yield ``(StreamRecord, origin)`` pairs (per-record fallback)."""
-        keys = self.keys
-        values = self.values
-        timestamps = self.timestamps
-        origins = self.origins
-        for i in range(len(values)):
-            yield StreamRecord(keys[i], values[i], timestamps[i]), origins[i]

@@ -24,8 +24,10 @@ or dropped, or a restore would resurrect dead entries) — while probes
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from collections.abc import Callable
+import heapq
+import itertools
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -61,28 +63,56 @@ _JOIN_WINDOW = Window(0.0, 1.0)
 
 _SIDE_KIND = {LEFT: KIND_JOIN_LEFT, RIGHT: KIND_JOIN_RIGHT}
 _KIND_SIDE = {KIND_JOIN_LEFT: LEFT, KIND_JOIN_RIGHT: RIGHT}
+_NEG_INF = float("-inf")
 
 
-@dataclass
 class _SideBuffer:
-    """Timestamp-sorted records of one side of one key."""
+    """Timestamp-sorted records of one side of one key, held as parallel
+    ``stamps`` / ``values`` columns so searches are plain ``bisect``
+    over floats (no key function per comparison)."""
 
-    entries: list[tuple[float, Any]] = field(default_factory=list)
+    __slots__ = ("stamps", "values", "seq")
 
-    def add(self, timestamp: float, value: Any) -> None:
-        insort(self.entries, (timestamp, value), key=lambda e: e[0])
+    def __init__(self, entries: Iterable[tuple[float, Any]] = (), seq: int = 0) -> None:
+        self.stamps: list[float] = []
+        self.values: list[Any] = []
+        # Creation ticket from the owning backend: ascending ``seq`` is
+        # the buffer's position in its side's dict order.
+        self.seq = seq
+        for timestamp, value in entries:
+            self.stamps.append(timestamp)
+            self.values.append(value)
+
+    @property
+    def entries(self) -> list[tuple[float, Any]]:
+        """The ``(ts, value)`` pairs, in timestamp order (a fresh list)."""
+        return list(zip(self.stamps, self.values))
+
+    def add(self, timestamp: float, value: Any) -> int:
+        """Insert after any equal timestamps; returns the new row's index
+        (in-order arrivals append without a search)."""
+        stamps = self.stamps
+        if not stamps or timestamp >= stamps[-1]:
+            stamps.append(timestamp)
+            self.values.append(value)
+            return len(stamps) - 1
+        index = bisect_right(stamps, timestamp)
+        stamps.insert(index, timestamp)
+        self.values.insert(index, value)
+        return index
 
     def range(self, low: float, high: float) -> list[tuple[float, Any]]:
         """Entries with ``low <= ts <= high``."""
-        lo = bisect_left(self.entries, low, key=lambda e: e[0])
-        hi = bisect_right(self.entries, high, key=lambda e: e[0])
-        return self.entries[lo:hi]
+        lo = bisect_left(self.stamps, low)
+        hi = bisect_right(self.stamps, high)
+        return list(zip(self.stamps[lo:hi], self.values[lo:hi]))
 
     def expire_before(self, timestamp: float) -> int:
         """Drop entries with ``ts < timestamp``; returns how many."""
-        cut = bisect_left(self.entries, timestamp, key=lambda e: e[0])
+        cut = bisect_left(self.stamps, timestamp)
         if cut:
-            del self.entries[:cut]
+            del self.stamps[:cut]
+            del self.values[:cut]
         return cut
 
 
@@ -123,6 +153,14 @@ class JoinStateBackend:
     def __init__(self, env: SimEnv, max_key_groups: int = DEFAULT_MAX_KEY_GROUPS) -> None:
         self._env = env
         self._sides: dict[str, dict[bytes, _SideBuffer]] = {LEFT: {}, RIGHT: {}}
+        # Expiry index, per side: a min-heap of ``(head, ticket, key,
+        # buffer)`` with at least one entry per live buffer whose head is
+        # <= the buffer's oldest timestamp (-inf while it is empty).
+        # Entries of buffers that left the dict are skipped when popped.
+        self._heads: dict[str, list[tuple[float, int, bytes, _SideBuffer]]] = {
+            LEFT: [], RIGHT: [],
+        }
+        self._tickets = itertools.count()
         self._dirty = KeyGroupDirtyTracker(max_key_groups)
         self._closed = False
         self._log_serde = PickleSerde()
@@ -153,9 +191,27 @@ class JoinStateBackend:
     def prefetch_probe_keys(self, side: str, keys: list[bytes]) -> None:
         """Advisory hint: ``keys`` on ``side`` are about to be probed."""
 
+    def _new_buffer(
+        self, side: str, key: bytes, entries: Iterable[tuple[float, Any]] = ()
+    ) -> _SideBuffer:
+        """Append a buffer for ``key`` to the side's dict and index it."""
+        buffer = _SideBuffer(entries, next(self._tickets))
+        self._sides[side][key] = buffer
+        self._index(side, key, buffer)
+        return buffer
+
+    def _index(self, side: str, key: bytes, buffer: _SideBuffer) -> None:
+        """(Re-)enter ``buffer`` in the expiry index at its current head."""
+        head = buffer.stamps[0] if buffer.stamps else _NEG_INF
+        heapq.heappush(self._heads[side], (head, next(self._tickets), key, buffer))
+
     def insert(self, side: str, key: bytes, timestamp: float, value: Any) -> None:
         self._check_open()
-        self._sides[side].setdefault(key, _SideBuffer()).add(timestamp, value)
+        buffer = self._sides[side].get(key)
+        if buffer is None:
+            self._new_buffer(side, key, ((timestamp, value),))
+        elif buffer.add(timestamp, value) == 0:
+            self._index(side, key, buffer)  # a new, older head
         if self._dirty.logging:
             # Buffers live as raw objects; the (ts, value) pair is only
             # serialized for the changelog while replication is on.
@@ -172,33 +228,46 @@ class JoinStateBackend:
         is marked dirty so the next delta epoch rewrites (or, once empty,
         drops) its shard — otherwise a restore or checkpoint-seeded
         rescale would resurrect the expired entries.
+
+        Only the buffers the expiry index holds below the cut (plus any
+        empty ones) are visited, in the side dict's order — the order a
+        full scan would trim them in, so the ``log_trim`` sequence and
+        the dirty marks are those of a scan over every buffer.
         """
         self._check_open()
         total = 0
         for side, cut in ((LEFT, left_cut), (RIGHT, right_cut)):
+            heap = self._heads[side]
             buffers = self._sides[side]
-            dead_keys = []
-            for key, buffer in buffers.items():
+            due: dict[int, tuple[bytes, _SideBuffer]] = {}
+            while heap and (heap[0][0] < cut or heap[0][0] == _NEG_INF):
+                _head, _ticket, key, buffer = heapq.heappop(heap)
+                if buffers.get(key) is buffer:
+                    due[buffer.seq] = (key, buffer)
+            kind = _SIDE_KIND[side]
+            for seq in sorted(due):
+                key, buffer = due[seq]
                 expired = buffer.expire_before(cut)
                 if expired:
                     total += expired
-                    self._dirty.log_trim(key, _SIDE_KIND[side], cut)
-                if not buffer.entries:
-                    dead_keys.append(key)
-            for key in dead_keys:
-                del buffers[key]
+                    self._dirty.log_trim(key, kind, cut)
+                if buffer.stamps:
+                    self._index(side, key, buffer)
+                else:
+                    del buffers[key]
         return total
 
     def drop_all(self) -> None:
         """Discard every buffer (end-of-input teardown, no dirty marks)."""
-        self._sides[LEFT].clear()
-        self._sides[RIGHT].clear()
+        for side in (LEFT, RIGHT):
+            self._sides[side].clear()
+            self._heads[side].clear()
 
     # --- accounting -----------------------------------------------------
     @property
     def memory_entries(self) -> int:
         return sum(
-            len(buffer.entries)
+            len(buffer.stamps)
             for buffers in self._sides.values()
             for buffer in buffers.values()
         )
@@ -206,7 +275,7 @@ class JoinStateBackend:
     @property
     def memory_bytes(self) -> int:
         return sum(
-            len(key) + sum(16 + _estimate_bytes(value) for _ts, value in buffer.entries)
+            len(key) + sum(16 + _estimate_bytes(value) for value in buffer.values)
             for buffers in self._sides.values()
             for key, buffer in buffers.items()
         )
@@ -232,7 +301,7 @@ class JoinStateBackend:
         meta = pack_meta(
             self._env,
             {
-                side: {key: list(buffer.entries) for key, buffer in buffers.items()}
+                side: {key: buffer.entries for key, buffer in buffers.items()}
                 for side, buffers in self._sides.items()
             },
         )
@@ -248,9 +317,8 @@ class JoinStateBackend:
             raise StoreRestoreError("restore into non-empty join state backend")
         state = unpack_meta(self._env, snapshot.meta)
         for side in (LEFT, RIGHT):
-            self._sides[side] = {
-                key: _SideBuffer(list(entries)) for key, entries in state[side].items()
-            }
+            for key, entries in state[side].items():
+                self._new_buffer(side, key, entries)
 
     # --- elastic rescaling (key-group migration) -------------------------
     def export_state(self, key_groups: set[int], key_group_of: KeyGroupFn) -> StateExport:
@@ -316,10 +384,11 @@ class JoinStateBackend:
                 decoded.extend(serde.deserialize(data))
             if buffer is None:
                 # Exported in timestamp order; lands sorted as-is.
-                buffers[entry.key] = _SideBuffer(decoded)
+                self._new_buffer(side, entry.key, decoded)
             else:
-                for timestamp, value in decoded:
-                    buffer.add(timestamp, value)
+                rows = [buffer.add(timestamp, value) for timestamp, value in decoded]
+                if 0 in rows:
+                    self._index(side, entry.key, buffer)  # a new, older head
 
     # --- lifecycle ------------------------------------------------------
     def flush(self) -> None:
@@ -327,8 +396,7 @@ class JoinStateBackend:
 
     def close(self) -> None:
         self._closed = True
-        self._sides[LEFT].clear()
-        self._sides[RIGHT].clear()
+        self.drop_all()
 
 
 @dataclass
@@ -371,40 +439,44 @@ class IntervalJoinOperator:
 
     # ------------------------------------------------------------------
     def process(self, record: StreamRecord) -> None:
-        self.env.charge_cpu(CAT_ENGINE, self.env.cpu.function_call)
+        env = self.env
+        cpu = env.cpu
+        charge = env.charge_cpu
+        charge(CAT_ENGINE, cpu.function_call)
         side, value = record.value
+        key = record.key
+        timestamp = record.timestamp
         if side == LEFT:
             other = RIGHT
-            low = record.timestamp + self.lower
-            high = record.timestamp + self.upper
+            low = timestamp + self.lower
+            high = timestamp + self.upper
         elif side == RIGHT:
             other = LEFT
             # right.ts in [left.ts + lower, left.ts + upper]  <=>
             # left.ts in [right.ts - upper, right.ts - lower]
-            low = record.timestamp - self.upper
-            high = record.timestamp - self.lower
+            low = timestamp - self.upper
+            high = timestamp - self.lower
         else:
             raise ValueError(f"interval join record without side tag: {record.value!r}")
-        self.env.charge_cpu(CAT_ENGINE, 2 * self.env.cpu.hash_probe)
-        partners = self.backend.buffer(other, record.key)
+        charge(CAT_ENGINE, 2 * cpu.hash_probe)
+        partners = self.backend.buffer(other, key)
         if partners is not None:
-            matches = partners.range(low, high)
-            self.env.charge_cpu(
+            stamps = partners.stamps
+            lo = bisect_left(stamps, low)
+            hi = bisect_right(stamps, high)
+            charge(
                 CAT_ENGINE,
-                self.env.cpu.sorted_search(max(1, len(partners.entries)))
-                + len(matches) * self.env.cpu.branch_step,
+                cpu.sorted_search(max(1, len(stamps))) + (hi - lo) * cpu.branch_step,
             )
-            for partner_ts, partner_value in matches:
-                self.env.charge_cpu(CAT_QUERY, self.env.cpu.function_call)
+            for partner_ts, partner_value in zip(stamps[lo:hi], partners.values[lo:hi]):
+                charge(CAT_QUERY, cpu.function_call)
                 if side == LEFT:
                     output = self.join_fn(value, partner_value)
                 else:
                     output = self.join_fn(partner_value, value)
                 self.results_emitted += 1
-                self.collector(
-                    StreamRecord(record.key, output, max(record.timestamp, partner_ts))
-                )
-        self.backend.insert(side, record.key, record.timestamp, value)
+                self.collector(StreamRecord(key, output, max(timestamp, partner_ts)))
+        self.backend.insert(side, key, timestamp, value)
 
     def process_batch(self, records: list[StreamRecord]) -> None:
         """Batch entry point — a strict per-record loop.

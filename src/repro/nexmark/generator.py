@@ -32,11 +32,12 @@ byte-identical to the pre-skew generator, pinned by test):
 from __future__ import annotations
 
 import bisect
+import math
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from repro.nexmark.model import Auction, Bid, Person
+from repro.nexmark.model import Auction, Bid, Person, new_auction, new_bid, new_person
 
 Event = Person | Auction | Bid
 
@@ -137,6 +138,13 @@ def generate_events(config: GeneratorConfig) -> Iterator[tuple[Event, float]]:
 
     Without a late-data storm the stream is timestamp-ordered; storm
     bids are emitted at their generation slot but stamped in the past.
+
+    The loop binds ``rng.random`` and ``rng._randbelow`` and inlines
+    ``expovariate`` and the hot-quartile pick (the newest quartile of
+    ``n`` gets ``hot_fraction`` of the draws): the RNG sees exactly the
+    calls ``expovariate(rate)`` and ``randrange(n)`` would make, in the
+    same order.  The stream hashes in ``tests/test_skew_generator.py`` pin
+    this on every supported interpreter.
     """
     rng = random.Random(config.seed)
     timestamp = 0.0
@@ -150,10 +158,18 @@ def generate_events(config: GeneratorConfig) -> Iterator[tuple[Event, float]]:
         people.append(next_person_id)
         next_person_id += 1
     for _ in range(4):
-        auctions.append(Auction(next_auction_id, rng.choice(people)))
+        auctions.append(new_auction(next_auction_id, rng.choice(people)))
         next_auction_id += 1
 
+    uniform = rng.random
+    randbelow = rng._randbelow  # what randrange(n) calls for n > 0
+    log = math.log
     mean_gap = 1.0 / config.events_per_second
+    rate = 1.0 / mean_gap  # expovariate's lambd
+    duration = config.duration
+    hot = config.hot_fraction
+    active_people = config.active_people
+    active_auctions = config.active_auctions
     person_cut = config.person_ratio
     auction_cut = config.person_ratio + config.auction_ratio
     bidder_zipf = (
@@ -162,78 +178,70 @@ def generate_events(config: GeneratorConfig) -> Iterator[tuple[Event, float]]:
     seller_zipf = (
         _ZipfPicker(config.seller_zipf) if config.seller_zipf is not None else None
     )
-    flash_end = (
-        config.flash_start + config.flash_duration
-        if config.flash_start is not None
-        else None
-    )
+    flash_start = config.flash_start
+    flash_end = flash_start + config.flash_duration if flash_start is not None else None
     flash_auction: Auction | None = None
+    storm_start = config.late_storm_start
     storm_end = (
-        config.late_storm_start + config.late_storm_duration
-        if config.late_storm_start is not None
-        else None
+        storm_start + config.late_storm_duration if storm_start is not None else None
     )
 
-    while timestamp < config.duration:
-        timestamp += rng.expovariate(1.0 / mean_gap)
-        if timestamp >= config.duration:
+    while timestamp < duration:
+        timestamp += -log(1.0 - uniform()) / rate
+        if timestamp >= duration:
             return
-        draw = rng.random()
+        draw = uniform()
         if draw < person_cut:
-            person = Person(next_person_id, rng.randrange(64))
+            person = new_person(next_person_id, randbelow(64))
             next_person_id += 1
             people.append(person.person_id)
-            if len(people) > config.active_people:
+            if len(people) > active_people:
                 people.pop(0)
             yield person, timestamp
         elif draw < auction_cut:
+            n = len(people)
             if seller_zipf is not None:
-                seller = people[seller_zipf.pick(rng, len(people))]
+                seller = people[seller_zipf.pick(rng, n)]
+            elif n <= 1:
+                seller = people[0]
+            elif uniform() < hot:
+                seller = people[n - 1 - randbelow(max(1, n // 4))]
             else:
-                seller = _pick(rng, people, config.hot_fraction)
-            auction = Auction(next_auction_id, seller)
+                seller = people[randbelow(n)]
+            auction = new_auction(next_auction_id, seller)
             next_auction_id += 1
             auctions.append(auction)
-            if len(auctions) > config.active_auctions:
+            if len(auctions) > active_auctions:
                 auctions.pop(0)
             yield auction, timestamp
         else:
             auction = None
-            if (
-                config.flash_start is not None
-                and config.flash_start <= timestamp < flash_end
-            ):
+            if flash_start is not None and flash_start <= timestamp < flash_end:
                 if flash_auction is None:
                     # Latch the burst target: the newest auction at the
                     # instant the flash crowd begins.
                     flash_auction = auctions[-1]
-                if rng.random() < config.flash_intensity:
+                if uniform() < config.flash_intensity:
                     auction = flash_auction
             if auction is None:
-                auction = auctions[_pick_index(rng, len(auctions), config.hot_fraction)]
+                n = len(auctions)
+                if n <= 1:
+                    auction = auctions[0]
+                elif uniform() < hot:
+                    auction = auctions[n - 1 - randbelow(max(1, n // 4))]
+                else:
+                    auction = auctions[randbelow(n)]
+            n = len(people)
             if bidder_zipf is not None:
-                bidder = people[bidder_zipf.pick(rng, len(people))]
+                bidder = people[bidder_zipf.pick(rng, n)]
+            elif n <= 1:
+                bidder = people[0]
+            elif uniform() < hot:
+                bidder = people[n - 1 - randbelow(max(1, n // 4))]
             else:
-                bidder = _pick(rng, people, config.hot_fraction)
-            price = 100 + rng.randrange(10_000)
+                bidder = people[randbelow(n)]
+            price = 100 + randbelow(10_000)
             bid_ts = timestamp
-            if (
-                config.late_storm_start is not None
-                and config.late_storm_start <= timestamp < storm_end
-            ):
+            if storm_start is not None and storm_start <= timestamp < storm_end:
                 bid_ts = max(0.0, timestamp - config.late_storm_delay)
-            yield Bid(auction.auction_id, bidder, price), bid_ts
-
-
-def _pick_index(rng: random.Random, n: int, hot_fraction: float) -> int:
-    """Skewed index choice: the newest quartile gets ``hot_fraction``."""
-    if n <= 1:
-        return 0
-    if rng.random() < hot_fraction:
-        quartile = max(1, n // 4)
-        return n - 1 - rng.randrange(quartile)
-    return rng.randrange(n)
-
-
-def _pick(rng: random.Random, population: list[int], hot_fraction: float) -> int:
-    return population[_pick_index(rng, len(population), hot_fraction)]
+            yield new_bid(auction.auction_id, bidder, price), bid_ts

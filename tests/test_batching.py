@@ -86,12 +86,15 @@ class TestCrossBackendEquivalence:
         assert fingerprint(batched) == per_tuple_baseline(query, backend)
 
     @pytest.mark.parametrize(
-        "query", ("q7-session", "q11-median", "q12", "q6-count", "q8-interval", "q5")
+        "query",
+        ("q7-session", "q11-median", "q12", "q6-count", "q8-interval", "q5", "q1", "q2"),
     )
     def test_every_operator_shape_agrees(self, query):
         # Session merge, non-associative process, global window, count
         # trigger, interval join, two-stage pipeline: each exercises a
         # different operator batching rule (deferral vs per-record loop).
+        # The stateless q1 (map) and q2 (filter + map) run only the
+        # compiled stateless routes and the sink.
         batched = run_query(PROFILE, query, "flowkv", WINDOW, batch_records=64)
         assert fingerprint(batched) == per_tuple_baseline(query, "flowkv")
 

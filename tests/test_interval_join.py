@@ -8,9 +8,18 @@ from hypothesis import strategies as st
 
 from repro.backends import memory_backend
 from repro.engine import StreamEnvironment
-from repro.engine.joins import LEFT, RIGHT, IntervalJoinOperator, _SideBuffer
+from repro.engine.joins import (
+    _JOIN_WINDOW,
+    _SIDE_KIND,
+    LEFT,
+    RIGHT,
+    IntervalJoinOperator,
+    JoinStateBackend,
+    _SideBuffer,
+)
 from repro.errors import PlanError
-from repro.model import StreamRecord
+from repro.kvstores.api import ExportedEntry, StateExport, key_group_of
+from repro.model import PickleSerde, StreamRecord
 from repro.simenv import SimEnv
 
 
@@ -34,6 +43,15 @@ class TestSideBuffer:
             buffer.add(ts, ts)
         assert buffer.expire_before(2.5) == 2
         assert [ts for ts, _v in buffer.entries] == [3.0]
+
+    def test_equal_timestamps_keep_arrival_order(self):
+        buffer = _SideBuffer([(1.0, "a"), (4.0, "d")])
+        assert buffer.add(4.0, "e") == 2  # in order: appended
+        assert buffer.add(1.0, "b") == 1  # out of order: after equal stamps
+        assert buffer.add(0.5, "z") == 0  # a new head
+        assert buffer.entries == [
+            (0.5, "z"), (1.0, "a"), (1.0, "b"), (4.0, "d"), (4.0, "e"),
+        ]
 
 
 def make_operator(lower=-5.0, upper=5.0):
@@ -245,3 +263,143 @@ class TestExpiryProperties:
         assert len(outputs) == emitted
         # The horizon passes every buffered entry eventually: drained.
         assert operator.memory_entries == 0
+
+
+# ----------------------------------------------------------------------
+# Expiry index vs a full scan
+# ----------------------------------------------------------------------
+class _ScanningBackend(JoinStateBackend):
+    """Reference: expiry as a full dict-order scan over every buffer."""
+
+    def expire(self, left_cut, right_cut):
+        total = 0
+        for side, cut in ((LEFT, left_cut), (RIGHT, right_cut)):
+            buffers = self._sides[side]
+            dead_keys = []
+            for key, buffer in buffers.items():
+                expired = buffer.expire_before(cut)
+                if expired:
+                    total += expired
+                    self._dirty.log_trim(key, _SIDE_KIND[side], cut)
+                if not buffer.entries:
+                    dead_keys.append(key)
+            for key in dead_keys:
+                del buffers[key]
+        return total
+
+
+class _ChangelogRecorder:
+    def __init__(self) -> None:
+        self.calls: list[tuple] = []
+
+    def record(self, *args) -> None:
+        self.calls.append(args)
+
+
+GROUPS = 4
+KEYS = [f"k{i}".encode() for i in range(6)]
+SIDES = st.sampled_from((LEFT, RIGHT))
+STAMPS = st.integers(0, 30).map(float)
+EXPIRY_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), SIDES, st.integers(0, 5), STAMPS),
+        st.tuples(
+            st.just("import"), SIDES, st.integers(0, 5),
+            st.lists(STAMPS, max_size=4), st.booleans(),
+        ),
+        st.tuples(st.just("export"), st.integers(0, GROUPS - 1)),
+        st.tuples(st.just("export_groups"), st.integers(0, GROUPS - 1)),
+        st.tuples(st.just("expire"), st.integers(0, 6), st.integers(0, 6)),
+    ),
+    max_size=60,
+)
+
+
+def _kg(key: bytes) -> int:
+    return key_group_of(key, GROUPS)
+
+
+def _apply(backend: JoinStateBackend, op: tuple, cuts: list[float]):
+    kind = op[0]
+    if kind == "insert":
+        _kind, side, key_index, ts = op
+        backend.insert(side, KEYS[key_index], ts, (side, key_index, ts))
+        return None
+    if kind == "import":
+        _kind, side, key_index, stamps, split = op
+        rows = sorted((ts, ("imported", ts)) for ts in stamps)
+        serde = PickleSerde()
+        blobs = (
+            [serde.serialize(rows[:1]), serde.serialize(rows[1:])]
+            if split else [serde.serialize(rows)]
+        )
+        backend.import_state(
+            StateExport([ExportedEntry(KEYS[key_index], _JOIN_WINDOW, _SIDE_KIND[side], blobs)])
+        )
+        return None
+    if kind == "export":
+        export = backend.export_state({op[1]}, _kg)
+        return [(e.key, e.kind, e.values) for e in export.entries]
+    if kind == "export_groups":
+        export = backend.export_group_state({op[1]}, _kg)
+        return [(e.key, e.kind, e.values) for e in export.entries]
+    # Rising cuts, as successive watermarks produce.
+    cuts[0] += op[1]
+    cuts[1] += op[2]
+    return backend.expire(cuts[0], cuts[1])
+
+
+def _observe(backend: JoinStateBackend) -> tuple:
+    return (
+        {
+            side: [(key, buffer.entries) for key, buffer in backend._sides[side].items()]
+            for side in (LEFT, RIGHT)
+        },
+        backend.dirty_groups(),
+        backend.memory_entries,
+        dict(backend._env.ledger.cpu_seconds),
+    )
+
+
+class TestExpiryIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ops=EXPIRY_OPS,
+        # -inf: watermarks before any record; an empty imported buffer
+        # must still be dropped by the first expiry.
+        start=st.one_of(st.integers(-3, 10).map(float), st.just(float("-inf"))),
+    )
+    def test_index_matches_full_scan(self, ops, start):
+        indexed = JoinStateBackend(SimEnv(), max_key_groups=GROUPS)
+        scanning = _ScanningBackend(SimEnv(), max_key_groups=GROUPS)
+        logs = (_ChangelogRecorder(), _ChangelogRecorder())
+        indexed.attach_changelog(logs[0])
+        scanning.attach_changelog(logs[1])
+        cuts = ([start] * 2, [start] * 2)
+        for op in ops:
+            assert _apply(indexed, op, cuts[0]) == _apply(scanning, op, cuts[1])
+            assert _observe(indexed) == _observe(scanning)
+        # Every changelog row, log_trim included, in the scan's order.
+        assert logs[0].calls == logs[1].calls
+
+    def test_expired_counts_and_trim_order(self):
+        backend = JoinStateBackend(SimEnv(), max_key_groups=GROUPS)
+        log = _ChangelogRecorder()
+        backend.attach_changelog(log)
+        for key, ts in ((b"b", 5.0), (b"a", 1.0), (b"c", 9.0), (b"a", 7.0), (b"b", 2.0)):
+            backend.insert(LEFT, key, ts, ts)
+        log.calls.clear()
+        assert backend.expire(6.0, float("-inf")) == 3
+        # Dict order of first insertion (b, a), not head order (a, b).
+        assert [call[2] for call in log.calls] == [b"b", b"a"]
+        assert list(backend._sides[LEFT]) == [b"a", b"c"]
+
+    def test_empty_import_is_dropped_by_any_expiry(self):
+        empty = PickleSerde().serialize([])
+        for backend in (JoinStateBackend(SimEnv()), _ScanningBackend(SimEnv())):
+            backend.import_state(
+                StateExport([ExportedEntry(b"k", _JOIN_WINDOW, _SIDE_KIND[LEFT], [empty])])
+            )
+            assert backend.buffer(LEFT, b"k") is not None
+            assert backend.expire(float("-inf"), float("-inf")) == 0
+            assert backend.buffer(LEFT, b"k") is None

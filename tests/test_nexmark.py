@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -30,6 +33,59 @@ class TestModel:
         assert Person(1, 2).payload_bytes == 16
         assert Auction(1, 2).payload_bytes == 16
         assert Bid(1, 2, 3).payload_bytes == 84
+
+
+def _dataclass_twin(event):
+    """The same event built through the dataclass constructor."""
+    return type(event)(*(getattr(event, f.name) for f in dataclasses.fields(event)))
+
+
+def _reference_repr(event) -> str:
+    """The dataclass-generated repr format, rebuilt from the fields."""
+    fields = ", ".join(
+        f"{f.name}={getattr(event, f.name)!r}" for f in dataclasses.fields(event)
+    )
+    return f"{type(event).__qualname__}({fields})"
+
+
+class TestEventFastPath:
+    """The generator builds events without the dataclass ``__init__``;
+    every observable form must match a dataclass-built twin (serialized
+    sizes feed simulated charges, reprs feed output digests)."""
+
+    CONFIGS = (
+        GeneratorConfig(events_per_second=40.0, duration=150.0, seed=11),
+        GeneratorConfig(
+            events_per_second=40.0, duration=150.0, seed=12,
+            bidder_zipf=1.3, seller_zipf=1.1, flash_start=40.0, flash_duration=30.0,
+            late_storm_start=80.0, late_storm_duration=20.0, late_storm_delay=5.0,
+        ),
+    )
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=("default", "skewed"))
+    def test_generated_events_equal_their_dataclass_twins(self, config):
+        serde = NexmarkSerde()
+        kinds = set()
+        for event, _ts in generate_events(config):
+            twin = _dataclass_twin(event)
+            kinds.add(type(event))
+            assert type(event) is type(twin)
+            assert event == twin and twin == event
+            assert hash(event) == hash(twin)
+            assert repr(event) == repr(twin)
+            for protocol in (2, pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL):
+                assert pickle.dumps(event, protocol) == pickle.dumps(twin, protocol)
+            assert serde.serialize(event) == serde.serialize(twin)
+            assert pickle.loads(pickle.dumps(event)) == event
+        assert kinds == {Person, Auction, Bid}
+
+    @pytest.mark.parametrize(
+        "event",
+        (Person(7, 3), Auction(5, 9), Bid(1, 2, 3), Bid(4, 5, 6, b"\x01" * 3)),
+        ids=("person", "auction", "bid", "bid-extra"),
+    )
+    def test_reprs_follow_the_dataclass_format(self, event):
+        assert repr(event) == _reference_repr(event)
 
 
 class TestSerde:
