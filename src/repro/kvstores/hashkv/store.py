@@ -114,7 +114,16 @@ class FasterStore(KVStore):
 
     @staticmethod
     def _record_length(key: bytes, value: bytes) -> int:
-        return len(encode_bytes(key)) + len(encode_bytes(value))
+        """Serialized length of a record: both length prefixes plus payloads."""
+        key_len = len(key)
+        value_len = len(value)
+        if key_len < 0x80 and value_len < 0x80:
+            return key_len + value_len + 2
+        return (
+            key_len + value_len
+            + ((key_len.bit_length() + 6) // 7 or 1)
+            + ((value_len.bit_length() + 6) // 7 or 1)
+        )
 
     # ------------------------------------------------------------------
     # hybrid log management

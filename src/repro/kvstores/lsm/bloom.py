@@ -5,7 +5,9 @@ from __future__ import annotations
 import hashlib
 
 
-def _hash_pair(key: bytes) -> tuple[int, int]:
+def hash_pair(key: bytes) -> tuple[int, int]:
+    """The two hashes every probe of ``key`` derives its bit positions from;
+    one pair serves the filters of every table a point read consults."""
     digest = hashlib.blake2b(key, digest_size=16).digest()
     return (
         int.from_bytes(digest[:8], "little"),
@@ -32,17 +34,30 @@ class BloomFilter:
         return self._n_hashes
 
     def add(self, key: bytes) -> None:
-        h1, h2 = _hash_pair(key)
-        for i in range(self._n_hashes):
-            bit = (h1 + i * h2) % self._n_bits
-            self._bits[bit >> 3] |= 1 << (bit & 7)
+        # Probe i sets bit (h1 + i*h2) mod n_bits, stepped here in residues.
+        h1, h2 = hash_pair(key)
+        n_bits = self._n_bits
+        bits = self._bits
+        bit = h1 % n_bits
+        step = h2 % n_bits
+        for _ in range(self._n_hashes):
+            bits[bit >> 3] |= 1 << (bit & 7)
+            bit = (bit + step) % n_bits
 
     def may_contain(self, key: bytes) -> bool:
-        h1, h2 = _hash_pair(key)
-        for i in range(self._n_hashes):
-            bit = (h1 + i * h2) % self._n_bits
-            if not self._bits[bit >> 3] & (1 << (bit & 7)):
+        return self.may_contain_hash(hash_pair(key))
+
+    def may_contain_hash(self, key_hash: tuple[int, int]) -> bool:
+        """:meth:`may_contain` for a key whose :func:`hash_pair` is known."""
+        h1, h2 = key_hash
+        n_bits = self._n_bits
+        bits = self._bits
+        bit = h1 % n_bits
+        step = h2 % n_bits
+        for _ in range(self._n_hashes):
+            if not bits[bit >> 3] & (1 << (bit & 7)):
                 return False
+            bit = (bit + step) % n_bits
         return True
 
     def to_bytes(self) -> bytes:

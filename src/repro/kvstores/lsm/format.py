@@ -13,7 +13,8 @@ byte concatenation — exactly RocksDB's ``StringAppendOperator`` shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
+from typing import NamedTuple
 
 from repro.serde.codec import decode_bytes, decode_varint, encode_bytes, encode_varint
 
@@ -24,9 +25,12 @@ KIND_DELETE = 2
 _KIND_NAMES = {KIND_PUT: "PUT", KIND_MERGE: "MERGE", KIND_DELETE: "DELETE"}
 
 
-@dataclass(frozen=True)
-class Entry:
-    """One versioned KV record inside a memtable or SSTable."""
+class Entry(NamedTuple):
+    """One versioned KV record inside a memtable or SSTable.
+
+    A tuple, so hot loops build it with ``tuple.__new__(Entry, (...))``
+    and sort or search a block by ``itemgetter(0)`` (the key).
+    """
 
     key: bytes
     seq: int
@@ -37,14 +41,13 @@ class Entry:
         return f"Entry({self.key!r}, seq={self.seq}, {_KIND_NAMES[self.kind]}, {len(self.value)}B)"
 
 
+_new_entry = tuple.__new__
+
+
 def encode_entry(entry: Entry) -> bytes:
     """Serialize one entry."""
-    return (
-        encode_bytes(entry.key)
-        + encode_varint(entry.seq)
-        + bytes([entry.kind])
-        + encode_bytes(entry.value)
-    )
+    key, seq, kind, value = entry
+    return encode_bytes(key) + encode_varint(seq) + bytes((kind,)) + encode_bytes(value)
 
 
 def decode_entry(data: bytes, offset: int = 0) -> tuple[Entry, int]:
@@ -54,7 +57,50 @@ def decode_entry(data: bytes, offset: int = 0) -> tuple[Entry, int]:
     kind = data[pos]
     pos += 1
     value, pos = decode_bytes(data, pos)
-    return Entry(key, seq, kind, value), pos
+    return _new_entry(Entry, (key, seq, kind, value)), pos
+
+
+def decode_block(raw: bytes) -> list[Entry]:
+    """Deserialize a whole block of concatenated entries in one pass.
+
+    Key and value lengths below 0x80 (nearly all of them) are read
+    inline.  Any entry that leaves that shape, including a malformed one,
+    is handed to :func:`decode_entry`, so a damaged block raises exactly
+    what an entry-by-entry decode raises.
+    """
+    entries: list[Entry] = []
+    append = entries.append
+    end = len(raw)
+    pos = 0
+    while pos < end:
+        key_len = raw[pos]
+        key_end = pos + 1 + key_len
+        if key_len < 0x80 and key_end < end:
+            seq = raw[key_end]
+            kind_at = key_end + 1
+            if seq >= 0x80:
+                seq, kind_at = decode_varint(raw, key_end)
+            if kind_at + 1 < end:
+                value_len = raw[kind_at + 1]
+                value_end = kind_at + 2 + value_len
+                if value_len < 0x80 and value_end <= end:
+                    append(_new_entry(Entry, (
+                        raw[pos + 1 : key_end], seq, raw[kind_at], raw[kind_at + 2 : value_end]
+                    )))
+                    pos = value_end
+                    continue
+        entry, pos = decode_entry(raw, pos)
+        append(entry)
+    return entries
+
+
+def iter_block(raw: bytes) -> Iterator[Entry]:
+    """Entry-by-entry decode of a block: yields each well-formed entry
+    before raising on the first malformed one."""
+    pos = 0
+    while pos < len(raw):
+        entry, pos = decode_entry(raw, pos)
+        yield entry
 
 
 def pack_list_value(elements: list[bytes]) -> bytes:

@@ -67,8 +67,8 @@ class MemTable:
     def get_versions(self, key: bytes) -> list[Entry]:
         """All versions of ``key``, newest first (search cost charged)."""
         self._env.charge_cpu(CAT_STORE_READ, self._env.cpu.sorted_search(max(1, self._count)))
-        versions = self._entries.get(key, [])
-        return list(reversed(versions))
+        versions = self._entries.get(key)
+        return versions[::-1] if versions else []
 
     def get_merged(self, key: bytes) -> Entry | None:
         """The collapsed view of ``key`` within this memtable only."""

@@ -11,24 +11,33 @@ Layout (all little-endian):
 * index block: per block ``(first_key, offset, length)``,
 * bloom block: serialized :class:`BloomFilter` over all keys,
 * footer: fixed-size offsets of the index and bloom blocks.
+
+A reader keeps each data block's decoded entries once parsed: tables are
+immutable, so a block is parsed at most once on the host however often
+the simulated device reads it.  A reader returned by the writer starts
+with every block decoded (the entries it just encoded), but only when
+the bytes that reached the file are the bytes it encoded — a torn or
+bit-flipped write is decoded from the damaged file like any other.
 """
 
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
+from operator import itemgetter
 
 from repro.errors import StoreError
 from repro.kvstores.lsm.blockcache import BlockCache
-from repro.kvstores.lsm.bloom import BloomFilter
-from repro.kvstores.lsm.format import Entry, decode_entry, encode_entry
-from repro.serde.codec import decode_bytes, encode_bytes
+from repro.kvstores.lsm.bloom import BloomFilter, hash_pair
+from repro.kvstores.lsm.format import Entry, decode_block, encode_entry, iter_block
+from repro.serde.codec import decode_bytes, encode_bytes, encode_varint
 from repro.simenv import CAT_STORE_READ, SimEnv
 from repro.storage.filesystem import SimFileSystem
 
 _FOOTER = struct.Struct("<QIQIQI")  # index_off, index_len, bloom_off, bloom_len, n_entries, magic
 _MAGIC = 0x5354414C  # "STAL"
+_KEY = itemgetter(0)  # Entry.key, for bisecting a decoded block
 
 
 class SSTableWriter:
@@ -53,42 +62,62 @@ class SSTableWriter:
     def write(self, entries: Iterable[Entry]) -> "SSTableReader | None":
         """Write all entries; returns a reader, or None if empty."""
         blocks: list[bytes] = []
+        decoded: list[list[Entry]] = []  # per block, the entries encoded into it
         index: list[tuple[bytes, int, int]] = []  # first_key, offset, length
         current = bytearray()
+        current_entries: list[Entry] = []
         current_first: bytes | None = None
         last_key: bytes | None = None
         keys: list[bytes] = []
-        n_entries = 0
         offset = 0
 
         def close_block() -> None:
-            nonlocal current, current_first, offset
+            nonlocal current, current_entries, current_first, offset
             if not current:
                 return
             index.append((current_first or b"", offset, len(current)))
             offset += len(current)
             blocks.append(bytes(current))
+            decoded.append(current_entries)
             current = bytearray()
+            current_entries = []
             current_first = None
 
+        block_bytes = self._block_bytes
         for entry in entries:
-            if last_key is not None and entry.key < last_key:
-                raise StoreError(
-                    f"entries out of order writing {self._name}: {entry.key!r} < {last_key!r}"
-                )
-            # Only split blocks at key boundaries so one key's versions
-            # always live in a single block.
-            if len(current) >= self._block_bytes and entry.key != last_key:
-                close_block()
+            key, seq, kind, value = entry
+            if key != last_key:
+                if last_key is not None and key < last_key:
+                    raise StoreError(
+                        f"entries out of order writing {self._name}: {key!r} < {last_key!r}"
+                    )
+                # Only split blocks at key boundaries so one key's versions
+                # always live in a single block.
+                if len(current) >= block_bytes:
+                    close_block()
+                keys.append(key)
+                last_key = key
             if current_first is None:
-                current_first = entry.key
-            if entry.key != last_key:
-                keys.append(entry.key)
-            current += encode_entry(entry)
-            last_key = entry.key
-            n_entries += 1
+                current_first = key
+            key_len = len(key)
+            value_len = len(value)
+            if key_len < 0x80 and value_len < 0x80:
+                current.append(key_len)
+                current += key
+                current += encode_varint(seq)
+                current.append(kind)
+                current.append(value_len)
+                current += value
+            else:
+                current += encode_entry(entry)
+            if type(key) is not bytes or type(value) is not bytes:
+                # The reader hands these out as decoded values: never a
+                # caller's mutable buffer.
+                entry = Entry(bytes(key), seq, kind, bytes(value))
+            current_entries.append(entry)
         close_block()
 
+        n_entries = sum(map(len, decoded))
         if n_entries == 0:
             return None
 
@@ -110,12 +139,21 @@ class SSTableWriter:
             n_entries, _MAGIC,
         )
         # One sequential device write for the whole table.
-        self._fs.append(self._name, payload + footer, category=self._category)
-        return SSTableReader(self._env, self._fs, self._name, category=self._category)
+        data = payload + footer
+        at = self._fs.append(self._name, data, category=self._category)
+        return SSTableReader(
+            self._env, self._fs, self._name, category=self._category,
+            blocks=decoded if self._fs.holds(self._name, at, data) else None,
+        )
 
 
 class SSTableReader:
-    """Opens an SSTable; index and bloom filter stay pinned in memory."""
+    """Opens an SSTable; index and bloom filter stay pinned in memory.
+
+    ``blocks`` is the writer's per-block entry lists for a table whose
+    file holds exactly what was encoded; a reader opened from disk passes
+    none and decodes each block on its first read.
+    """
 
     def __init__(
         self,
@@ -123,6 +161,7 @@ class SSTableReader:
         fs: SimFileSystem,
         name: str,
         category: str = "store_read",
+        blocks: list[list[Entry]] | None = None,
     ) -> None:
         self._env = env
         self._fs = fs
@@ -147,6 +186,12 @@ class SSTableReader:
         self._bloom = BloomFilter.from_bytes(bloom_raw)
         self._data_len = index_off
         self._index_bytes = index_len + bloom_len
+        # Decoded entries per data block (None until first decoded).  Host
+        # memory only: every read still pays the device read and the
+        # per-byte decode charge.
+        self._blocks: list[list[Entry] | None] = (
+            blocks if blocks is not None else [None] * len(self._block_offsets)
+        )
         self.smallest_key = self._block_first_keys[0] if self._block_first_keys else b""
         self.largest_key = self._find_largest_key(category)
 
@@ -169,10 +214,11 @@ class SSTableReader:
     def file_size(self) -> int:
         return self._fs.size(self.name)
 
-    def may_contain(self, key: bytes) -> bool:
+    def may_contain(self, key_hash: tuple[int, int]) -> bool:
+        """Bloom probe for the key whose :func:`hash_pair` is ``key_hash``."""
         self._env.charge_cpu(CAT_STORE_READ, self._env.cpu.bloom_check)
         self._env.bump("lsm_bloom_checks")
-        hit = self._bloom.may_contain(key)
+        hit = self._bloom.may_contain_hash(key_hash)
         if not hit:
             self._env.bump("lsm_bloom_negatives")
         return hit
@@ -183,11 +229,9 @@ class SSTableReader:
         block_off, block_len = self._block_offsets[block_idx]
         raw = self._fs.read(self.name, block_off, block_len, category=category)
         self._env.charge_cpu(category, block_len * self._env.cpu.block_decode_per_byte)
-        entries: list[Entry] = []
-        pos = 0
-        while pos < len(raw):
-            entry, pos = decode_entry(raw, pos)
-            entries.append(entry)
+        entries = self._blocks[block_idx]
+        if entries is None:
+            entries = self._blocks[block_idx] = decode_block(raw)
         return entries
 
     def _load_block(self, block_idx: int, cache: BlockCache | None) -> list[Entry]:
@@ -201,14 +245,15 @@ class SSTableReader:
             cache.insert(self.name, block_off, entries, block_len)
         return entries
 
-    def locate_block(self, key: bytes) -> int | None:
-        """Index of the data block a point read of ``key`` would load.
+    def locate_block(self, key: bytes, key_hash: tuple[int, int]) -> int | None:
+        """Index of the data block a point read of ``key`` would load
+        (``key_hash`` is its :func:`hash_pair`).
 
         Charges the same bloom check and index search as the lookup path
         of :meth:`get_versions`; the prefetcher calls this under capture
         so the cost books as background work.
         """
-        if not self._block_offsets or not self.may_contain(key):
+        if not self._block_offsets or not self.may_contain(key_hash):
             return None
         self._env.charge_cpu(
             CAT_STORE_READ, self._env.cpu.sorted_search(len(self._block_offsets))
@@ -220,9 +265,14 @@ class SSTableReader:
         """``(offset, length)`` of a data block."""
         return self._block_offsets[block_idx]
 
-    def get_versions(self, key: bytes, cache: BlockCache | None = None) -> list[Entry]:
+    def get_versions(
+        self,
+        key: bytes,
+        cache: BlockCache | None = None,
+        key_hash: tuple[int, int] | None = None,
+    ) -> list[Entry]:
         """All versions of ``key`` in this table, newest first."""
-        if not self._block_offsets or not self.may_contain(key):
+        if not self._block_offsets or not self.may_contain(key_hash or hash_pair(key)):
             return []
         self._env.charge_cpu(
             CAT_STORE_READ, self._env.cpu.sorted_search(len(self._block_offsets))
@@ -232,19 +282,12 @@ class SSTableReader:
             return []
         entries = self._load_block(block_idx, cache)
         # Binary search within the block, then collect the key's run.
-        self._env.charge_cpu(CAT_STORE_READ, self._env.cpu.sorted_search(len(entries)))
-        lo, hi = 0, len(entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if entries[mid].key < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        versions: list[Entry] = []
-        while lo < len(entries) and entries[lo].key == key:
-            versions.append(entries[lo])
-            lo += 1
-        return versions
+        n_entries = len(entries)
+        self._env.charge_cpu(CAT_STORE_READ, self._env.cpu.sorted_search(n_entries))
+        lo = hi = bisect_left(entries, key, key=_KEY)
+        while hi < n_entries and entries[hi].key == key:
+            hi += 1
+        return entries[lo:hi]
 
     def plan_slabs(
         self,
@@ -319,11 +362,17 @@ class SSTableReader:
                     slab = self._fs.read(
                         self.name, slab_start, length, category=category
                     )
-            raw = slab[block_off - slab_start : block_off - slab_start + block_len]
             self._env.charge_cpu(category, block_len * self._env.cpu.block_decode_per_byte)
-            pos = 0
-            while pos < len(raw):
-                entry, pos = decode_entry(raw, pos)
+            entries = self._blocks[block_idx]
+            if entries is None:
+                raw = slab[block_off - slab_start : block_off - slab_start + block_len]
+                try:
+                    entries = self._blocks[block_idx] = decode_block(raw)
+                except (ValueError, IndexError):
+                    # Damaged block: stream the entries before the damage,
+                    # then raise there, as a lazy scan meets it.
+                    entries = iter_block(raw)
+            for entry in entries:
                 if start_key is not None and entry.key < start_key:
                     continue
                 self._env.charge_cpu(category, self._env.cpu.branch_step)

@@ -5,10 +5,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.errors import StoreClosedError, UnknownBatchOpError
 from repro.kvstores.api import KVStore
 from repro.kvstores.lsm.blockcache import BlockCache
+from repro.kvstores.lsm.bloom import hash_pair
 from repro.kvstores.lsm.compaction import collapse_versions, merge_sorted_entries
 from repro.kvstores.lsm.format import (
     KIND_DELETE,
@@ -27,6 +29,8 @@ from repro.simenv import (
     SimEnv,
 )
 from repro.storage.filesystem import SimFileSystem
+
+_SMALLEST_KEY = attrgetter("smallest_key")  # bisects a level's key-ordered tables
 
 
 @dataclass(frozen=True)
@@ -171,8 +175,9 @@ class LsmStore(KVStore):
             versions.append(entry)
             if entry.kind != KIND_MERGE:
                 return self._finish_get(versions)
+        key_hash = hash_pair(key)  # one hash serves every table's bloom probe
         for table in self._levels[0]:
-            for entry in table.get_versions(key, self._cache):
+            for entry in table.get_versions(key, self._cache, key_hash):
                 versions.append(entry)
                 if entry.kind != KIND_MERGE:
                     return self._finish_get(versions)
@@ -180,7 +185,7 @@ class LsmStore(KVStore):
             table = self._find_level_file(level, key)
             if table is None:
                 continue
-            for entry in table.get_versions(key, self._cache):
+            for entry in table.get_versions(key, self._cache, key_hash):
                 versions.append(entry)
                 if entry.kind != KIND_MERGE:
                     return self._finish_get(versions)
@@ -199,7 +204,7 @@ class LsmStore(KVStore):
         if not level:
             return None
         self._env.charge_cpu(CAT_STORE_READ, self._env.cpu.sorted_search(len(level)))
-        idx = bisect_right([t.smallest_key for t in level], key) - 1
+        idx = bisect_right(level, key, key=_SMALLEST_KEY) - 1
         if idx < 0:
             return None
         table = level[idx]
@@ -219,7 +224,7 @@ class LsmStore(KVStore):
                 continue
 
             def level_iter(tables: list[SSTableReader] = level) -> Iterator[Entry]:
-                start = max(0, bisect_right([t.smallest_key for t in tables], prefix) - 1)
+                start = max(0, bisect_right(tables, prefix, key=_SMALLEST_KEY) - 1)
                 for table in tables[start:]:
                     if table.largest_key < prefix:
                         continue
@@ -424,7 +429,7 @@ class LsmStore(KVStore):
         for level in self._levels[1:]:
             if not level:
                 continue
-            start = max(0, bisect_right([t.smallest_key for t in level], prefix) - 1)
+            start = max(0, bisect_right(level, prefix, key=_SMALLEST_KEY) - 1)
             for table in level[start:]:
                 if table.largest_key < prefix:
                     continue
@@ -481,10 +486,11 @@ class LsmStore(KVStore):
             if entry.kind != KIND_MERGE:
                 return []  # resolves in memory; no disk read coming
         blocks: list[tuple[str, int, list[Entry], int]] = []
+        key_hash = hash_pair(key)
 
         def visit(table: SSTableReader) -> bool:
             """Load/pin the candidate block; True if the walk stops here."""
-            idx = table.locate_block(key)
+            idx = table.locate_block(key, key_hash)
             if idx is None:
                 return False
             block_off, block_len = table.block_span(idx)

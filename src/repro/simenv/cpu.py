@@ -62,8 +62,7 @@ class CpuCostModel:
         """Cost of a binary search over ``n_entries`` sorted entries."""
         if n_entries <= 1:
             return self.key_compare
-        steps = max(1, int.bit_length(n_entries))
-        return steps * self.key_compare
+        return n_entries.bit_length() * self.key_compare
 
     def serde(self, n_bytes: int, n_records: int = 1) -> float:
         """Cost of (de)serializing ``n_records`` totalling ``n_bytes``."""

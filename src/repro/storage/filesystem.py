@@ -73,6 +73,16 @@ class SimFileSystem:
         except KeyError:
             raise FileNotFoundInStoreError(name) from None
 
+    def holds(self, name: str, offset: int, data: bytes) -> bool:
+        """Whether ``name`` stores exactly ``data`` at ``offset``.
+
+        A host-side check, not an I/O: uncharged and unseen by the fault
+        layer.  A writer uses it to learn whether its bytes reached the
+        file unmutated (an injected torn write or bit flip alters them).
+        """
+        buf = self._files.get(name)
+        return buf is not None and buf[offset : offset + len(data)] == data
+
     def total_bytes(self, prefix: str = "") -> int:
         """Total bytes stored under ``prefix`` (space-amplification checks)."""
         return sum(len(data) for name, data in self._files.items() if name.startswith(prefix))

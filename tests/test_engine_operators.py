@@ -84,7 +84,9 @@ class TestAlignedIncrementalTriggers:
         feed(operator, b"a", "x", 12.0)  # next window
         operator.on_watermark(20.0)
         got = {(r.value, r.timestamp) for r in outputs}
-        # a: 3 in first window, 1 in second; b: 1 in first.
+        # a: 3 in first window, 1 in second; b: 1 in first.  Each result
+        # is stamped with its window's end.
+        assert got == {(3, 10.0), (1, 10.0), (1, 20.0)}
         counts = sorted(r.value for r in outputs)
         assert counts == [1, 1, 3]
 

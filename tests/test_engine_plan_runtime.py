@@ -47,8 +47,8 @@ class TestPlanConstruction:
     def test_duplicate_names_are_disambiguated(self):
         env = make_env()
         source = env.from_source(simple_source())
-        a = source.map(lambda v: v, name="same")
-        b = source.map(lambda v: v, name="same")
+        source.map(lambda v: v, name="same")
+        source.map(lambda v: v, name="same")
         names = [n.name for n in env.nodes()]
         assert len(set(names)) == len(names)
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.errors import StoreClosedError
 from repro.kvstores.hashkv import FasterConfig, FasterStore
 from repro.kvstores.lsm.format import unpack_list_value
+from repro.serde.codec import encode_bytes
 from repro.simenv import CAT_SYNC, SimEnv
 from repro.storage import SimFileSystem
 
@@ -216,3 +217,15 @@ def test_faster_soak_with_appends():
             # put base then appends: base is raw, appends framed
             if value is not None and not value.startswith(elements[0]):
                 assert unpack_list_value(value) == elements
+
+
+def test_record_length_matches_encoded_length():
+    """The length arithmetic equals the two length-prefixed encodings."""
+    boundaries = (0, 1, 127, 128, 129, 16383, 16384, 16385, (1 << 21) - 1, 1 << 21)
+    for key_len in boundaries:
+        key = b"k" * key_len
+        for value_len in boundaries:
+            value = b"v" * value_len
+            assert FasterStore._record_length(key, value) == (
+                len(encode_bytes(key)) + len(encode_bytes(value))
+            )

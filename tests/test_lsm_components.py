@@ -20,7 +20,8 @@ from repro.kvstores.lsm.format import (
     unpack_list_value,
 )
 from repro.kvstores.lsm.memtable import MemTable
-from repro.kvstores.lsm.sstable import SSTableWriter
+from repro.kvstores.lsm.sstable import SSTableReader, SSTableWriter
+from repro.kvstores.lsm.store import LsmStore
 from repro.simenv import SimEnv
 from repro.storage import SimFileSystem
 
@@ -253,3 +254,47 @@ class TestSSTable:
         for key, value in data.items():
             versions = reader.get_versions(key)
             assert versions and versions[0].value == value
+
+    def test_written_reader_matches_a_disk_reader(self):
+        """The writer's entries equal what a reader opened from the file
+        decodes, block by block, and a decode charges the same either way."""
+        entries = [Entry(f"k{i:03d}".encode(), 1000 + i, i % 3, bytes([i]) * (i % 150))
+                   for i in range(120)]
+        env, fs, written = self._write(entries, block_bytes=256)
+        opened = SSTableReader(env, fs, "t.sst")
+        n_blocks = len(written._blocks)
+        assert n_blocks > 2
+        for block_idx in range(n_blocks):
+            before = dict(env.ledger.cpu_seconds)
+            from_writer = written._decode_block_raw(block_idx)
+            mid = dict(env.ledger.cpu_seconds)
+            from_disk = opened._decode_block_raw(block_idx)
+            after = dict(env.ledger.cpu_seconds)
+            assert from_writer == from_disk
+            assert {k: mid[k] - before[k] for k in mid} == pytest.approx(
+                {k: after[k] - mid[k] for k in mid}, rel=1e-12, abs=0.0
+            )
+        assert list(written.iter_entries()) == list(opened.iter_entries()) == entries
+
+    def test_scan_stops_before_damage_like_a_lazy_decode(self):
+        """A scan that stops before a damaged entry never meets it."""
+        entries = [Entry(f"k{i:03d}".encode(), i, KIND_PUT, b"v" * 20) for i in range(40)]
+        env, fs, reader = self._write(entries, block_bytes=256)
+        first_block = reader._block_offsets[0][1]
+        assert first_block > 100
+        # Give block 0's last entry a key length running past the block.
+        fs.corrupt("t.sst", first_block - len(encode_entry(entries[0])), 0x80)
+        opened = SSTableReader(env, fs, "t.sst")
+        scan = opened.iter_entries()
+        assert [next(scan).key for _ in range(3)] == [b"k000", b"k001", b"k002"]
+        with pytest.raises(ValueError):
+            list(opened.iter_entries())
+
+    def test_mutable_values_are_not_aliased(self, env, fs):
+        store = LsmStore(env, fs)
+        value = bytearray(b"before")
+        store.put(b"k", value)
+        store.flush()
+        value[:] = b"after!"
+        got = store.get(b"k")
+        assert got == b"before" and type(got) is bytes

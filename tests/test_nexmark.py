@@ -257,8 +257,8 @@ class TestQuerySemantics:
         prices = {e.price for e, _ts in generate_events(self.GEN) if isinstance(e, Bid)}
         for median in result.sink_outputs["results"]:
             # A median of an odd-sized list is a real price; even-sized is
-            # the mean of two prices.
-            assert median >= 100
+            # the mean of two prices.  Either way it lies within the bids.
+            assert min(prices) <= median <= max(prices)
 
     def test_q8_join_emits_person_ids(self):
         result = self._run("q8")

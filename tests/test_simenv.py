@@ -62,6 +62,14 @@ class TestCpuCostModel:
         assert model.sorted_search(1024) == pytest.approx(11 * model.key_compare)
         assert model.sorted_search(2048) > model.sorted_search(1024)
 
+    def test_sorted_search_is_bit_exact_with_its_reference(self):
+        """Every charge replays bit-exact: pin the float for each size."""
+        model = CpuCostModel()
+        for n in range(70001):
+            steps = max(1, int.bit_length(n))
+            expected = model.key_compare if n <= 1 else steps * model.key_compare
+            assert model.sorted_search(n).hex() == expected.hex()
+
     def test_serde_linear_in_bytes(self):
         model = CpuCostModel()
         small = model.serde(100)
